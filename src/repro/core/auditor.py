@@ -413,8 +413,12 @@ class FileSegmentAuditor:
 
     # -- queries --------------------------------------------------------------------
     def stats_of(self, key: SegmentKey) -> Optional[SegmentStats]:
-        """Raw statistics record of a segment, if any."""
-        return self.stats_map.get(key)
+        """Raw statistics record of a segment, if any.
+
+        An uncharged :meth:`~repro.dhm.hashmap.DistributedHashMap.peek`:
+        the placement engine reads its co-located view of the map.
+        """
+        return self.stats_map.peek(key)
 
     def home_node(self, key: SegmentKey) -> int:
         """Node of the segment's first accessor (locality hint)."""

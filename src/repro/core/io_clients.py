@@ -318,14 +318,7 @@ class IOClientPool:
             self.in_flight.pop(ins.key, None)
         prov = self._prov
         if self.hierarchy.resident_tier_name(ins.key) == ins.dst_name:
-            if prov is not None:
-                prov.evict_cause = "move-failed"
-                try:
-                    self.hierarchy.evict(ins.key)
-                finally:
-                    prov.evict_cause = "evicted"
-            else:
-                self.hierarchy.evict(ins.key)
+            self.hierarchy.evict(ins.key, cause="move-failed")
         if prov is not None:
             prov.move_failed(ins.decision, ins.key, ins.nbytes)
         if self.failure_listener is not None:

@@ -189,22 +189,14 @@ class PlacementEngine:
         # planning cost: O(m * n) work split across the engine threads
         work = len(dirty) * self.config.placement_service_time
         yield self.env.timeout(work / max(1, self.config.engine_threads))
-        # expand with sequencing lookahead: segments "connected" to the
-        # hot ones (most likely successor, falling back to the spatial
-        # next segment) are placement candidates at a discounted score.
-        candidates: dict[SegmentKey, float] = {}
-        for key, score in zip(dirty, scores):
-            score = float(score)
-            if score <= 0.0:
-                continue
-            if score > candidates.get(key, 0.0):
-                candidates[key] = score
-            self._add_lookahead(key, score, candidates)
-        # hotter first; ties broken randomly (paper's default policy)
-        plan = sorted(
-            candidates.items(),
-            key=lambda kv: (-kv[1], self._rng.uniform()),
+        candidates = list(self._candidates(dirty, scores.tolist()).items())
+        # hotter first; ties broken randomly (paper's default policy).
+        # One draw per candidate, in candidate order, from the same stream.
+        draws = self._rng.uniform_array(len(candidates)).tolist()
+        order = sorted(
+            range(len(candidates)), key=lambda i: (-candidates[i][1], draws[i])
         )
+        plan = [candidates[i] for i in order]
         prov = self._prov
         if prov is not None:
             prov.snapshot(plan)
@@ -224,33 +216,51 @@ class PlacementEngine:
                 demoted=self.segments_demoted - demoted_before,
             )
 
-    def _add_lookahead(
-        self, key: SegmentKey, score: float, candidates: dict[SegmentKey, float]
-    ) -> None:
-        """Walk the sequencing chain forward, discounting per hop."""
-        current = key
-        value = score
-        for _hop in range(self.config.lookahead_depth):
-            value *= self.config.lookahead_discount
-            nxt = self._successor_of(current)
-            if nxt is None:
-                return
-            if value > candidates.get(nxt, 0.0):
-                candidates[nxt] = value
-            current = nxt
+    def _candidates(
+        self, dirty: list[SegmentKey], scores: list[float]
+    ) -> dict[SegmentKey, float]:
+        """Dirty segments plus their sequencing lookahead, best score each.
 
-    def _successor_of(self, key: SegmentKey) -> Optional[SegmentKey]:
-        stats = self.auditor.stats_of(key)
-        if stats is not None:
-            learned = stats.most_likely_successor()
-            if learned is not None:
-                return learned
-        # spatial fallback: the next segment of the same file
-        if self.auditor.fs.exists(key.file_id):
-            f = self.auditor.fs.get(key.file_id)
-            if key.index + 1 < f.num_segments:
-                return SegmentKey(key.file_id, key.index + 1)
-        return None
+        Segments "connected" to the hot ones (the most likely successor,
+        falling back to the spatial next segment) are candidates at a
+        score discounted per hop.  Successors cannot change within the
+        synchronous walk, so a walk that reaches a segment an earlier walk
+        already expanded with at least its value and hops left would only
+        repeat no-op writes: it stops there, and the result (values and
+        insertion order) is that of the full walks.
+        """
+        depth = self.config.lookahead_depth
+        discount = self.config.lookahead_discount
+        stats_of = self.auditor.stats_of
+        files = self.auditor.fs
+        candidates: dict[SegmentKey, float] = {}
+        # segment -> (value, hops left) it was last expanded with
+        walked: dict[SegmentKey, tuple[float, int]] = {}
+        for key, score in zip(dirty, scores):
+            if score <= 0.0:
+                continue
+            if score > candidates.get(key, 0.0):
+                candidates[key] = score
+            current, value, left = key, score, depth
+            while left:
+                seen = walked.get(current)
+                if seen is not None and seen[0] >= value and seen[1] >= left:
+                    break
+                walked[current] = (value, left)
+                value *= discount
+                stats = stats_of(current)
+                nxt = stats.best_successor if stats is not None else None
+                if nxt is None:
+                    # spatial fallback: the next segment of the same file
+                    fid = current.file_id
+                    if not files.exists(fid) or current.index + 1 >= files.get(fid).num_segments:
+                        break
+                    nxt = SegmentKey(fid, current.index + 1)
+                if value > candidates.get(nxt, 0.0):
+                    candidates[nxt] = value
+                current = nxt
+                left -= 1
+        return candidates
 
     # -- Algorithm 1 ----------------------------------------------------------------
     def _segment_bytes(self, key: SegmentKey) -> Optional[int]:
@@ -405,15 +415,7 @@ class PlacementEngine:
 
     def _evict(self, key: SegmentKey, cause: str = "rejected") -> None:
         self._scores.pop(key, None)
-        prov = self._prov
-        if prov is not None:
-            prov.evict_cause = cause
-            try:
-                self.hierarchy.evict(key)
-            finally:
-                prov.evict_cause = "evicted"
-        else:
-            self.hierarchy.evict(key)
+        self.hierarchy.evict(key, cause=cause)
         self.io_clients.drop_in_flight(key)
 
     # -- fault handling (tier outage & recovery) ----------------------------------

@@ -158,15 +158,7 @@ class HFetchServer:
         self.engine.invalidate_file(file_id)
         # stragglers the engine no longer tracks still count as
         # consistency invalidations for the waste analyzer
-        prov = self.telemetry.provenance if self.telemetry is not None else None
-        if prov is not None:
-            prov.evict_cause = "invalidated"
-            try:
-                self.hierarchy.invalidate_file(file_id)
-            finally:
-                prov.evict_cause = "evicted"
-        else:
-            self.hierarchy.invalidate_file(file_id)
+        self.hierarchy.invalidate_file(file_id, cause="invalidated")
 
     # -- diagnostics -------------------------------------------------------------
     def metrics(self) -> dict:

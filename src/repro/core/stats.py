@@ -44,6 +44,10 @@ class SegmentStats:
     successors:
         Observed follow-on counts ``{next_segment: times}`` — the forward
         view of the sequencing chain, used for pipelined lookahead.
+    best_successor:
+        The most frequently observed follow-on segment (the first one
+        observed among equal counts), kept current by
+        :meth:`link_successor` so the engine's lookahead reads it in O(1).
     """
 
     key: SegmentKey
@@ -54,6 +58,7 @@ class SegmentStats:
     last_access: float = float("-inf")
     prev: Optional[SegmentKey] = None
     successors: dict = field(default_factory=dict)
+    best_successor: Optional[SegmentKey] = None
 
     def __post_init__(self) -> None:
         if self.max_history < 1:
@@ -79,13 +84,21 @@ class SegmentStats:
         """Record that ``nxt`` was accessed right after this segment."""
         if nxt == self.key:
             return
-        self.successors[nxt] = self.successors.get(nxt, 0) + 1
+        successors = self.successors
+        count = successors.get(nxt, 0) + 1
+        successors[nxt] = count
+        best = self.best_successor
+        if best == nxt:
+            return
+        if best is None or count > successors[best]:
+            self.best_successor = nxt
+        elif count == successors[best]:
+            # a tie goes to the first-inserted key, as ``max`` breaks it
+            self.best_successor = max(successors.items(), key=lambda kv: kv[1])[0]
 
     def most_likely_successor(self) -> Optional[SegmentKey]:
         """The most frequently observed follow-on segment, if any."""
-        if not self.successors:
-            return None
-        return max(self.successors.items(), key=lambda kv: kv[1])[0]
+        return self.best_successor
 
     def score(self, now: float, p: float = 2.0) -> float:
         """Eq. 1 score at time ``now``."""

@@ -13,6 +13,19 @@ Provides the operations the paper's auditor depends on (§III-A.2):
   claim that removing the DHM (i.e. broadcasting every update across the
   cluster) is prohibitively expensive.
 * Optional write-ahead logging for power-down fault tolerance.
+
+What the cost model charges: the auditor's fold (every statistics
+update and sequencing-link read) and the agents' mapping lookups.  The
+placement engine's reads of the statistics map go through the uncharged
+:meth:`DistributedHashMap.peek` instead: the engine runs inside the
+server and reads its co-located view of the map, so in this model those
+reads cost nothing.  ``peek`` still reads through the staged overlay and
+the write-ahead log while a shard is down, so fault runs see the same
+records; it only skips the op counters, ``total_cost`` and the retry
+charge.  On the Montage benchmark workload this takes about 87% of the
+stats map's ``gets`` off the books.  No ``RunResult`` field reads the
+stats map's cost (only the mapping map's cost becomes simulated time,
+in :mod:`repro.core.agents`), so no simulated result moves.
 """
 
 from __future__ import annotations
@@ -218,6 +231,18 @@ class DistributedHashMap:
         """Read ``key`` (O(1)); ``from_shard`` selects the caller's node."""
         self.gets += 1
         return self._charge(key, from_shard).get(key, default)
+
+    def peek(self, key: Hashable, default: Any = None) -> Any:
+        """Uncharged read of ``key`` from the caller's co-located view.
+
+        Returns what :meth:`get` would (through the staged overlay and
+        WAL read-through while the key's shard is down) without counting
+        the op or charging its cost or retries.
+        """
+        sid = self.shard_of(key)
+        if self._down and sid in self._down:
+            return self._staged[sid].get(key, default)
+        return self._shards[sid].get(key, default)
 
     def put(self, key: Hashable, value: Any, from_shard: Optional[int] = None) -> None:
         """Write ``key`` (O(1))."""

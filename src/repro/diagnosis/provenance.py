@@ -71,10 +71,9 @@ class ProvenanceLog:
     (a ledger-only placement on the tier already serving the segment
     moves no bytes and therefore has no waste class).
 
-    ``evict_cause`` is a context attribute the *callers* set around
-    eviction paths ("rejected", "invalidated", "displaced",
-    "move-failed"); :meth:`evict` stamps whatever is current, so the
-    hierarchy's single eviction choke point needs no per-cause plumbing.
+    An eviction's ``cause`` ("evicted", "rejected", "invalidated",
+    "displaced", "move-failed") is passed down explicitly by the caller
+    of the hierarchy's eviction choke point.
     """
 
     #: drift-tracker snapshot caps: bounded memory however long the run
@@ -89,7 +88,6 @@ class ProvenanceLog:
         self.keys: list = []
         self._ids: dict = {}
         self._next_decision = 0
-        self.evict_cause = "evicted"
         #: engine-pass plan snapshots for the drift tracker:
         #: ``(t, ((sid, score), ...))``, capped
         self.snapshots: list[tuple] = []
@@ -162,13 +160,9 @@ class ProvenanceLog:
         """A move instruction terminally failed (retry budget exhausted)."""
         self._append((EV_MOVE_FAILED, self.now, did, self.sid(key), nbytes))
 
-    def evict(self, key, tier: str, cause: Optional[str] = None) -> None:
-        """A segment left its cache tier (cause defaults to the context
-        attribute :attr:`evict_cause` set by the caller on the way in)."""
-        self._append(
-            (EV_EVICT, self.now, self.sid(key), tier,
-             self.evict_cause if cause is None else cause)
-        )
+    def evict(self, key, tier: str, cause: str) -> None:
+        """A segment left its cache tier for ``cause``."""
+        self._append((EV_EVICT, self.now, self.sid(key), tier, cause))
 
     def read(self, key, served: str, origin: str, hit: bool,
              nbytes: int, pid: int) -> None:

@@ -344,6 +344,10 @@ class FaultInjector:
             tier = self._tier_of(spec)
             if tier is None:
                 return
+            if not tier.available:
+                # an outage already took the device away; nothing to slow
+                self.record(FaultKind.DEVICE_SLOWDOWN, f"skipped {tier.name}: tier down")
+                return
             tier.degrade(spec.factor)
             self.record(FaultKind.DEVICE_SLOWDOWN, f"{tier.name} x{spec.factor:g}")
         elif spec.kind is FaultKind.SHARD_OUTAGE:

@@ -48,6 +48,11 @@ class SeededStream:
         """A float uniformly drawn from ``[low, high)``."""
         return float(self._gen.uniform(low, high))
 
+    def uniform_array(self, n: int) -> np.ndarray:
+        """``n`` floats from ``[0, 1)``: the same values, in order, as
+        ``n`` calls of :meth:`uniform`, leaving the stream in the same state."""
+        return self._gen.random(n)
+
     def randint(self, low: int, high: int) -> int:
         """An int uniformly drawn from ``[low, high)``."""
         return int(self._gen.integers(low, high))

@@ -50,7 +50,7 @@ class StorageHierarchy:
         #: decision-provenance log (diagnosis runs only); :meth:`evict`
         #: is the single choke point every cache departure goes through,
         #: so one tap here covers rejection, invalidation and rollback —
-        #: callers set ``prov.evict_cause`` on the way in
+        #: callers pass the ``cause`` it records
         self.prov = None
 
     def bind_telemetry(self, telemetry) -> None:
@@ -180,22 +180,26 @@ class StorageHierarchy:
         self._location[key] = tier
         self.placements += 1
 
-    def evict(self, key: SegmentKey) -> bool:
-        """Drop ``key`` from whatever tier holds it. True if it was held."""
+    def evict(self, key: SegmentKey, cause: str = "evicted") -> bool:
+        """Drop ``key`` from whatever tier holds it. True if it was held.
+
+        ``cause`` ("rejected", "invalidated", "move-failed", ...) is what
+        the provenance log records for the departure.
+        """
         tier = self._location.pop(key, None)
         if tier is None:
             return False
         tier.drop(key)
         self.evictions += 1
         if self.prov is not None:
-            self.prov.evict(key, tier.name)
+            self.prov.evict(key, tier.name, cause)
         return True
 
-    def evict_all(self, keys: Iterable[SegmentKey]) -> int:
+    def evict_all(self, keys: Iterable[SegmentKey], cause: str = "evicted") -> int:
         """Evict many keys; returns how many were actually resident."""
-        return sum(1 for k in list(keys) if self.evict(k))
+        return sum(1 for k in list(keys) if self.evict(k, cause))
 
-    def invalidate_file(self, file_id: str) -> int:
+    def invalidate_file(self, file_id: str, cause: str = "invalidated") -> int:
         """Evict every resident segment of ``file_id``.
 
         Used when a write/update event arrives on a watched file — HFetch
@@ -203,7 +207,7 @@ class StorageHierarchy:
         (paper §III-A.1 / §III-B).
         """
         victims = [k for k in self._location if k.file_id == file_id]
-        return self.evict_all(victims)
+        return self.evict_all(victims, cause)
 
     def resident_segments(self) -> dict[SegmentKey, StorageTier]:
         """Snapshot of the full location map."""

@@ -177,3 +177,17 @@ class TestMidRunOutage:
         assert_no_lost_segments(runner, result)
         assert result.faults.get("device_slowdown") == 1
         assert runner.ctx.hierarchy.by_name("RAM").slowdown == 8.0
+
+    def test_slowdown_of_a_failed_tier_is_skipped(self):
+        plan = (
+            FaultPlan(seed=0)
+            .tier_outage("RAM", at=0.0)
+            .device_slowdown("RAM", factor=2.0, at=0.0)
+        )
+        runner, result = run_hfetch(fault_plan=plan)
+        assert_no_lost_segments(runner, result)
+        ram = runner.ctx.hierarchy.by_name("RAM")
+        assert not ram.available and ram.slowdown == 1.0
+        assert any(
+            k == "device_slowdown" and "skipped" in d for _, k, d in runner.injector.log
+        )

@@ -264,3 +264,89 @@ def test_invariants_hold_with_demote_to_bottom_and_eviction():
         assert_placement_invariants(hier)
     resident = [hier.locate(SegmentKey("/f", i)) for i in range(4)]
     assert sum(1 for r in resident if r is not None) <= 3
+
+
+# ------------------------------------------------- pruned lookahead walk
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from repro.core.stats import SegmentStats  # noqa: E402
+
+# /f has 32 segments (spatial chains run to its end), /g has 3, /x does
+# not exist (no stats and no spatial fallback: a dead end)
+WALK_KEYS = (
+    [SegmentKey("/f", i) for i in (0, 1, 2, 3, 4, 5, 30, 31)]
+    + [SegmentKey("/g", i) for i in range(3)]
+    + [SegmentKey("/x", 0), SegmentKey("/x", 1)]
+)
+
+
+def reference_candidates(auditor, config, dirty, scores):
+    """The unpruned walk: every dirty segment walks its full chain."""
+    candidates = {}
+    for key, score in zip(dirty, scores):
+        if score <= 0.0:
+            continue
+        if score > candidates.get(key, 0.0):
+            candidates[key] = score
+        current, value = key, score
+        for _hop in range(config.lookahead_depth):
+            value *= config.lookahead_discount
+            stats = auditor.stats_map.get(current)
+            nxt = stats.most_likely_successor() if stats is not None else None
+            if nxt is None:
+                if not auditor.fs.exists(current.file_id):
+                    break
+                if current.index + 1 >= auditor.fs.get(current.file_id).num_segments:
+                    break
+                nxt = SegmentKey(current.file_id, current.index + 1)
+            if value > candidates.get(nxt, 0.0):
+                candidates[nxt] = value
+            current = nxt
+    return candidates
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    # key -> learned successor (None: a record with no successor yet);
+    # keys may point at themselves or close cycles
+    graph=st.dictionaries(
+        st.sampled_from(WALK_KEYS), st.none() | st.sampled_from(WALK_KEYS)
+    ),
+    dirty=st.lists(
+        st.tuples(
+            st.sampled_from(WALK_KEYS),
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]) | st.floats(0.0, 10.0),
+        ),
+        max_size=12,
+    ),
+    depth=st.sampled_from([0, 1, 4, 16]),
+    discount=st.sampled_from([0.5, 0.85, 1.0]),
+)
+def test_pruned_walk_matches_the_full_walk(graph, dirty, depth, discount):
+    env, engine, auditor, hier, io = build(
+        lookahead_depth=depth, lookahead_discount=discount
+    )
+    auditor.fs.create("/g", 3 * MB)
+    for key, successor in graph.items():
+        stats = SegmentStats(key=key, nbytes=MB)
+        stats.best_successor = successor
+        auditor.stats_map.put(key, stats)
+    keys = [k for k, _ in dirty]
+    scores = [s for _, s in dirty]
+    got = engine._candidates(keys, scores)
+    want = reference_candidates(auditor, engine.config, keys, scores)
+    assert list(got.items()) == list(want.items())
+
+
+def test_pruned_walk_skips_repeated_chains():
+    env, engine, auditor, hier, io = build(lookahead_depth=16)
+    calls = []
+    stats_of = auditor.stats_of
+    auditor.stats_of = lambda key: calls.append(key) or stats_of(key)
+    keys = [SegmentKey("/f", 1), SegmentKey("/f", 0)]
+    # /f/0's walk reaches /f/1 with a lower value and fewer hops left
+    # than /f/1's own walk expanded it with, so it stops there
+    candidates = engine._candidates(keys, [1.0, 1.0])
+    assert calls == [SegmentKey("/f", i) for i in range(1, 17)] + [SegmentKey("/f", 0)]
+    assert candidates == reference_candidates(auditor, engine.config, keys, [1.0, 1.0])

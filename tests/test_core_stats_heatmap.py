@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.heatmap import FileHeatmap, HeatmapStore
 from repro.core.stats import SegmentStats
@@ -63,6 +65,33 @@ def test_successor_links_and_most_likely():
 
 def test_most_likely_successor_none_without_history():
     assert mk().most_likely_successor() is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=5), max_size=60))
+def test_best_successor_tracks_the_max_scan(links):
+    # few distinct targets, so repeats and ties are common; index 0 is the
+    # record's own key and exercises the ignored self-link
+    s = mk(idx=0)
+    for idx in links:
+        s.link_successor(SegmentKey("f", idx))
+        if s.successors:
+            assert s.best_successor == max(s.successors.items(), key=lambda kv: kv[1])[0]
+        else:
+            assert s.best_successor is None
+    assert s.most_likely_successor() == s.best_successor
+
+
+def test_best_successor_tie_keeps_first_inserted():
+    s = mk(idx=0)
+    a, b = SegmentKey("f", 1), SegmentKey("f", 2)
+    s.link_successor(a)
+    s.link_successor(b)
+    assert s.best_successor == a  # 1:1, a came first
+    s.link_successor(b)
+    assert s.best_successor == b  # 1:2
+    s.link_successor(a)
+    assert s.best_successor == a  # 2:2 again, a came first
 
 
 def test_stats_score_delegates_to_eq1():

@@ -231,3 +231,24 @@ def test_local_shard_is_raw_and_uncharged():
     m.local_shard(sid)["k"] = 42
     assert (m.gets, m.puts, m.total_cost) == before  # caller must charge_batch
     assert m.get("k") == 42
+
+
+def test_peek_reads_like_get_without_charging():
+    m = DistributedHashMap(shards=4)
+    m.put("k", 42)
+    before = (m.gets, m.local_ops, m.remote_ops, m.total_cost)
+    assert m.peek("k") == 42
+    assert m.peek("missing", "d") == "d"
+    assert (m.gets, m.local_ops, m.remote_ops, m.total_cost) == before
+
+
+def test_peek_reads_through_the_wal_while_a_shard_is_down():
+    m = DistributedHashMap(shards=4, wal=WriteAheadLog())
+    key = next(k for k in (f"k{i}" for i in range(100)) if m.shard_of(k) == 0)
+    m.put(key, "logged")
+    m.fail_shard(0)
+    before = (m.gets, m.degraded_ops, m.retries, m.total_cost)
+    assert m.peek(key) == "logged"
+    assert (m.gets, m.degraded_ops, m.retries, m.total_cost) == before
+    m.put(key, "staged")
+    assert m.peek(key) == "staged" == m.get(key)

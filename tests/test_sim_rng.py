@@ -62,3 +62,11 @@ def test_integers_array_shape_and_bounds():
 def test_permutation_covers_range():
     s = SeededStream(1, "perm")
     assert sorted(s.permutation(8).tolist()) == list(range(8))
+
+
+def test_uniform_array_matches_scalar_draws_and_stream_state():
+    a, b = SeededStream(5, "x"), SeededStream(5, "x")
+    bulk = a.uniform_array(50).tolist()
+    assert bulk == [b.uniform() for _ in range(50)]
+    assert a.uniform() == b.uniform()  # both streams left in the same state
+    assert a.uniform_array(0).tolist() == []

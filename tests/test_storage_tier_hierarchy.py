@@ -214,3 +214,24 @@ def test_resident_segments_snapshot():
     h.place(SegmentKey("f", 0), MB, h.tiers[0])
     snap = h.resident_segments()
     assert snap == {SegmentKey("f", 0): h.tiers[0]}
+
+
+def test_evictions_record_the_cause_their_caller_passes():
+    from repro.diagnosis.provenance import EV_EVICT, ProvenanceLog
+
+    env, h = build()
+    h.prov = prov = ProvenanceLog()
+    for i in range(3):
+        h.place(SegmentKey("a", i), MB, h.tiers[0])
+    h.place(SegmentKey("b", 0), MB, h.tiers[1])
+    h.evict(SegmentKey("a", 0), cause="rejected")
+    h.evict(SegmentKey("a", 1))
+    h.invalidate_file("a")
+    h.evict_all([SegmentKey("b", 0)], cause="move-failed")
+    causes = [(prov.keys[e[2]], e[3], e[4]) for e in prov.events if e[0] == EV_EVICT]
+    assert causes == [
+        (SegmentKey("a", 0), "RAM", "rejected"),
+        (SegmentKey("a", 1), "RAM", "evicted"),
+        (SegmentKey("a", 2), "RAM", "invalidated"),
+        (SegmentKey("b", 0), "NVMe", "move-failed"),
+    ]
