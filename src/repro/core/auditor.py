@@ -68,13 +68,13 @@ class FileSegmentAuditor:
         self._home_node: dict[SegmentKey, int] = {}
         # last content version seen per file (the stat-on-open check)
         self._seen_version: dict[str, int] = {}
-        # listeners notified on every score update (engine count trigger)
+        # listeners told how many score updates each fold made (the
+        # engine's count trigger)
         self._update_listeners: list[Callable[[int], None]] = []
         # invalidation hook installed by the server (hierarchy eviction)
         self.invalidate_hook: Optional[Callable[[str], None]] = None
         # instrumentation
         self.events_processed = 0
-        self.batched_events = 0
         self.score_updates = 0
         self.invalidations = 0
         self.dirty_dropped = 0
@@ -100,7 +100,7 @@ class FileSegmentAuditor:
 
     # -- wiring ----------------------------------------------------------------
     def add_update_listener(self, fn: Callable[[int], None]) -> None:
-        """Register a callback invoked with the running update count."""
+        """Register a callback invoked with each fold's score-update count."""
         self._update_listeners.append(fn)
 
     # -- epochs (fopen..fclose windows, §III-B) -----------------------------------
@@ -168,28 +168,26 @@ class FileSegmentAuditor:
     # -- event consumption (called by the hardware monitor's daemons) ---------------
     def on_event(self, event: FileEvent) -> None:
         """Fold one enriched file event into the statistics."""
-        self.events_processed += 1
-        if event.etype is EventType.READ:
-            self._on_read(event)
-        elif event.etype is EventType.WRITE:
-            self._on_write(event)
-        # OPEN/CLOSE epochs are driven by the agent manager, which sees
-        # the open flags; the raw events carry no extra information here.
+        self.on_events((event,))
 
     def on_events(self, events: Iterable[FileEvent]) -> int:
-        """Fold a batch of enriched events through the shard-local fast path.
+        """Fold enriched file events into the statistics, in order.
 
-        Semantically equivalent to calling :meth:`on_event` on each event
-        in order — identical statistics, sequencing links, dirty-vector
-        content/order, invalidation ordering and cost accounting — with
-        the per-event overhead amortised across the batch:
+        The monitor's daemons call this with one event at a time.  A
+        read atomically updates each targeted segment's record in the
+        DHM and links it to its predecessor in the reader's stream; a
+        write invalidates the file (§III-B); OPEN/CLOSE carry nothing
+        here, since epochs are driven by the agent manager, which sees
+        the open flags.
 
-        * segment statistics are mutated in place on their shard (no
-          per-access closure allocation, one aggregated DHM charge per
-          batch via :meth:`~repro.dhm.hashmap.DistributedHashMap.charge_batch`);
-        * file records are resolved once per file, not once per event;
-        * update listeners are notified once per batch (the post-batch
-          flush) instead of once per score update.
+        Records are mutated in place through
+        :meth:`~repro.dhm.hashmap.DistributedHashMap.local_shard`, with
+        the map traffic charged as if each access were its own ``update``
+        (one statistics update, plus one ``get`` and one link update of
+        the predecessor), in one
+        :meth:`~repro.dhm.hashmap.DistributedHashMap.charge_batch` per
+        call.  Update listeners are then called once with the number of
+        score updates the call made.
 
         Returns the number of events folded.
         """
@@ -283,14 +281,17 @@ class FileSegmentAuditor:
                     if wal is not None:
                         wal.log_put(key, stats)
                     if prev is not None and prev != key:
-                        # sequencing link on the predecessor — charged like
-                        # the per-event path: one local get, plus one local
-                        # update when the record exists
+                        # sequencing link on the predecessor: one local
+                        # get, plus one local update when the record exists
                         psid = 0 if nshards == 1 else shard_of(prev)
                         prev_stats = local_shard(psid).get(prev)
                         n_gets += 1
                         n_local += 1
                         if prev_stats is not None:
+                            # the link update is its own map op: taking
+                            # the handle again charges a down shard's
+                            # retries, as a separate ``update`` would
+                            local_shard(psid)
                             prev_stats.link_successor(key)
                             n_updates += 1
                             n_local += 1
@@ -301,6 +302,9 @@ class FileSegmentAuditor:
                     if key in dirty or len(dirty) < dirty_cap:
                         dirty[key] = None
                     else:
+                        # bounded vector: the placement hint is dropped (the
+                        # stats in the map survive and a later access can
+                        # re-surface it)
                         dirty_dropped += 1
                     score_updates += 1
                     prev = key
@@ -319,7 +323,6 @@ class FileSegmentAuditor:
 
         # -- post-batch flush ----------------------------------------------
         self.events_processed += processed
-        self.batched_events += processed
         self.dirty_dropped += dirty_dropped
         if n_updates or n_gets:
             stats_map.charge_batch(
@@ -327,68 +330,9 @@ class FileSegmentAuditor:
             )
         if score_updates:
             self.score_updates += score_updates
-            count = self.score_updates
             for listener in self._update_listeners:
-                listener(count)
+                listener(score_updates)
         return processed
-
-    def _on_read(self, event: FileEvent) -> None:
-        if not self.fs.exists(event.file_id):
-            return
-        f = self.fs.get(event.file_id)
-        keys = f.read_segments(event.offset, event.size)
-        stream = (event.file_id, event.pid)
-        prev = self._last_segment.get(stream)
-        tel = self.telemetry
-        for key in keys:
-            if tel is not None:
-                tel.key_flow[key] = event.eid
-            nbytes = f.segment_bytes(key)
-            self._record_access(key, nbytes, event.timestamp, prev, event.node)
-            prev = key
-        if keys:
-            self._last_segment[stream] = keys[-1]
-            self._file_streams.setdefault(event.file_id, {})[stream] = None
-            if tel is not None:
-                now = self._tel_env.now
-                self._fold_mark((now, event.eid, len(keys)))
-                self._dhm_mark((now, event.eid))
-
-    def _record_access(
-        self,
-        key: SegmentKey,
-        nbytes: int,
-        when: float,
-        prev: Optional[SegmentKey],
-        node: int,
-    ) -> None:
-        def _update(stats: Optional[SegmentStats]) -> SegmentStats:
-            if stats is None:
-                stats = SegmentStats(key=key, nbytes=nbytes, max_history=self.config.max_history)
-                self._file_keys.setdefault(key.file_id, {})[key] = None
-            stats.record(when, prev)
-            return stats
-
-        self.stats_map.update(key, _update, from_shard=node % self.stats_map.shards)
-        if prev is not None and prev != key:
-            def _link(stats: Optional[SegmentStats]) -> Optional[SegmentStats]:
-                if stats is not None:
-                    stats.link_successor(key)
-                return stats
-
-            prev_stats = self.stats_map.get(prev)
-            if prev_stats is not None:
-                self.stats_map.update(prev, _link)
-        self._home_node.setdefault(key, node)
-        if key in self._dirty or len(self._dirty) < self.config.dirty_vector_capacity:
-            self._dirty[key] = None
-        else:
-            # bounded vector: the placement hint is dropped (the stats in
-            # the hash map survive and a later access can re-surface it)
-            self.dirty_dropped += 1
-        self.score_updates += 1
-        for listener in self._update_listeners:
-            listener(self.score_updates)
 
     def _on_write(self, event: FileEvent) -> None:
         """Update events invalidate previously prefetched data (§III-B)."""

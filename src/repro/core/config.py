@@ -70,14 +70,6 @@ class HFetchConfig:
     #: seconds.  Limits daemon scaling sub-linearly, as observed.
     auditor_lock_time: float = 2e-6
 
-    #: Events a hardware-monitor daemon folds into the auditor per lock
-    #: acquisition.  1 preserves the paper's strict per-event pipeline;
-    #: values > 1 let a daemon opportunistically drain up to this many
-    #: already-queued events and fold them through the auditor's batched
-    #: fast path under a single lock hand-off (service and lock time are
-    #: still charged per event, so virtual-time behaviour stays honest).
-    monitor_batch_size: int = 1
-
     #: Per-plan-entry computation cost of the placement engine, seconds.
     placement_service_time: float = 5e-6
 
@@ -174,8 +166,6 @@ class HFetchConfig:
             raise ValueError("engine_update_threshold must be >= 1")
         if self.daemon_threads < 1 or self.engine_threads < 1:
             raise ValueError("thread counts must be >= 1")
-        if self.monitor_batch_size < 1:
-            raise ValueError("monitor_batch_size must be >= 1")
         if self.lookahead_depth < 0:
             raise ValueError("lookahead_depth must be >= 0")
         if not 0 < self.lookahead_discount <= 1:

@@ -58,7 +58,6 @@ class HardwareMonitor:
         self.busy_time = 0.0
         # telemetry (None in normal runs: zero overhead)
         self.telemetry = None
-        self._h_batch = None
 
     def bind_telemetry(self, telemetry) -> None:
         """Register monitor metrics into a live telemetry handle."""
@@ -69,8 +68,6 @@ class HardwareMonitor:
             return
         self.telemetry = tel
         reg = tel.registry
-        # batch sizes are small integers: lo=1, doubling buckets
-        self._h_batch = reg.histogram("monitor.batch_size", lo=1.0, growth=2.0, buckets=16)
         reg.gauge("monitor.busy_time_s", fn=lambda: self.busy_time)
         reg.gauge("monitor.file_events", fn=lambda: self.file_events)
 
@@ -106,9 +103,6 @@ class HardwareMonitor:
 
     # -- daemon loop -------------------------------------------------------
     def _daemon_loop(self, index: int) -> Generator:
-        if self.config.monitor_batch_size > 1:
-            yield from self._daemon_loop_batched(index)
-            return
         tel = self.telemetry
         service_mark = (
             tel.tracer.stream(
@@ -136,7 +130,7 @@ class HardwareMonitor:
                     yield req
                     try:
                         yield self.env.timeout(self.config.auditor_lock_time)
-                        self.auditor.on_event(event)
+                        self.auditor.on_events((event,))
                         self.file_events += 1
                     finally:
                         self._auditor_lock.release(req)
@@ -146,67 +140,6 @@ class HardwareMonitor:
                 self.busy_time += self.env.now - start
                 if service_mark is not None:
                     service_mark((start, self.env.now, getattr(event, "eid", None)))
-        except Interrupt:
-            return
-
-    def _daemon_loop_batched(self, index: int) -> Generator:
-        """Batch-draining variant (``monitor_batch_size > 1``).
-
-        A daemon still blocks for its first event, then drains whatever
-        else is already queued up to the batch budget.  Service and lock
-        time are charged per event so the virtual-time cost model is the
-        per-event pipeline's; the win is one lock hand-off (and one
-        auditor fold) per batch instead of per event.
-        """
-        limit = self.config.monitor_batch_size
-        tel = self.telemetry
-        batch_mark = (
-            tel.tracer.stream(
-                "monitor.batch", "monitor", f"hm-daemon-{index}",
-                kind="span", fields=("n", "files"),
-            ).append
-            if tel is not None
-            else None
-        )
-        try:
-            while True:
-                get = self.queue.pop()
-                try:
-                    event = yield get
-                except Interrupt:
-                    self.queue.cancel(get)
-                    raise
-                start = self.env.now
-                batch = [event]
-                batch.extend(self.queue.pop_ready(limit - 1))
-                if tel is not None:
-                    self._h_batch.observe(float(len(batch)))
-                # per-event processing work on this daemon thread
-                yield self.env.timeout(self.config.event_service_time * len(batch))
-                file_events: list[FileEvent] = []
-                for ev in batch:
-                    if isinstance(ev, FileEvent):
-                        file_events.append(ev)
-                    elif isinstance(ev, CapacityEvent):
-                        self.tier_free[ev.tier_name] = ev.free_bytes
-                        self.capacity_events += 1
-                if file_events:
-                    # one serialised hand-off for the whole batch
-                    req = self._auditor_lock.request()
-                    yield req
-                    try:
-                        yield self.env.timeout(
-                            self.config.auditor_lock_time * len(file_events)
-                        )
-                        self.auditor.on_events(file_events)
-                        self.file_events += len(file_events)
-                    finally:
-                        self._auditor_lock.release(req)
-                self.busy_time += self.env.now - start
-                if batch_mark is not None:
-                    batch_mark(
-                        (start, self.env.now, None, len(batch), len(file_events))
-                    )
         except Interrupt:
             return
 

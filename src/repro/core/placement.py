@@ -137,8 +137,9 @@ class PlacementEngine:
             self._proc = None
 
     # -- triggers ---------------------------------------------------------------
-    def _on_score_update(self, _total: int) -> None:
-        self._updates_since_pass += 1
+    def _on_score_update(self, n: int) -> None:
+        """Count ``n`` score updates from one auditor fold."""
+        self._updates_since_pass += n
         if (
             self._updates_since_pass >= self.config.engine_update_threshold
             and self._count_trigger is not None

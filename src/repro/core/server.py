@@ -166,7 +166,6 @@ class HFetchServer:
         return {
             "events_emitted": self.inotify.events_emitted,
             "events_processed": self.auditor.events_processed,
-            "events_batched": self.auditor.batched_events,
             "events_dropped": self.queue.dropped,
             "score_updates": self.auditor.score_updates,
             "engine_passes": self.engine.passes,

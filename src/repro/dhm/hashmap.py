@@ -319,63 +319,17 @@ class DistributedHashMap:
         self.charge_batch(local_ops=local, remote_ops=remote, gets=len(out))
         return out
 
-    def update_many(
-        self,
-        keys: Iterable[Hashable],
-        fn: Callable[[Hashable, Any], Any],
-        default: Any = None,
-        from_shard: Optional[int] = None,
-    ) -> list[Any]:
-        """Bulk atomic read-modify-write with one aggregated charge.
-
-        Unlike :meth:`update`, ``fn`` receives ``(key, current)`` so one
-        shared function can serve the whole batch without allocating a
-        closure per key.  Each key's application is still an indivisible
-        shard-local step; results are returned in input order.
-        """
-        if self._down:
-            # degraded slow path: per-key charged updates (overlay-aware)
-            out = []
-            for key in keys:
-                self.updates += 1
-                shard = self._charge(key, from_shard)
-                new_value = fn(key, shard.get(key, default))
-                shard[key] = new_value
-                if self.wal is not None:
-                    self.wal.log_put(key, new_value)
-                out.append(new_value)
-            return out
-        shards = self._shards
-        single = len(shards) == 1
-        shard_of = self.shard_of
-        wal = self.wal
-        out = []
-        local = remote = 0
-        for key in keys:
-            sid = 0 if single else shard_of(key)
-            if from_shard is None or from_shard == sid:
-                local += 1
-            else:
-                remote += 1
-            shard = shards[sid]
-            new_value = fn(key, shard.get(key, default))
-            shard[key] = new_value
-            if wal is not None:
-                wal.log_put(key, new_value)
-            out.append(new_value)
-        self.charge_batch(local_ops=local, remote_ops=remote, updates=len(out))
-        return out
-
     def local_shard(self, shard_id: int) -> dict:
         """Direct handle to one shard's dict for uncharged bulk folds.
 
         This is the raw half of the bulk protocol: a caller that mutates
-        records through this handle (the auditor's batched event fold)
-        must account the traffic itself via :meth:`charge_batch`, and
-        must write its own WAL entries when :attr:`wal` is set.
+        records through this handle (the auditor's event fold) must
+        account the traffic itself via :meth:`charge_batch`, and must
+        write its own WAL entries when :attr:`wal` is set.
 
         While ``shard_id`` is out, the staged overlay is returned
-        instead (the retry cost is charged here, once per handle).
+        instead and one degraded op's retries are charged here, so a
+        caller takes one handle per map op it stands in for.
         """
         if self._down and shard_id in self._down:
             self._charge_degraded()

@@ -135,29 +135,6 @@ class EventQueue:
         """
         return self._store.cancel(get)
 
-    def pop_ready(self, limit: int) -> list[Any]:
-        """Immediately drain up to ``limit`` already-buffered events.
-
-        Non-blocking companion to :meth:`pop` used by the monitor's
-        batched daemon path: after winning one event via ``pop`` a
-        daemon opportunistically takes whatever else is queued, up to
-        its batch budget, without yielding back to the scheduler.
-        """
-        if limit <= 0:
-            return []
-        items = self._store.get_ready(limit)
-        if items:
-            self.consumed += len(items)
-            self._last_pop = self.env.now
-            mark = self._pop_mark
-            if mark is not None:
-                now = self.env.now
-                for item in items:
-                    eid = getattr(item, "eid", None)
-                    if eid is not None:
-                        mark((now, eid))
-        return items
-
     # -- introspection ---------------------------------------------------------
     @property
     def level(self) -> int:

@@ -224,23 +224,6 @@ class Store:
         self._balance()
         return ev
 
-    def get_ready(self, limit: int) -> list[Any]:
-        """Immediately pop up to ``limit`` buffered items, no event.
-
-        FIFO fairness is preserved: ``_balance`` never leaves items
-        buffered while getters wait, so whenever ``items`` is non-empty
-        there are no queued getters to cut in front of.  Unblocks any
-        putters that were waiting on a full store.
-        """
-        out: list[Any] = []
-        items = self.items
-        while items and len(out) < limit:
-            out.append(items.popleft())
-        if out:
-            self.total_got += len(out)
-            self._balance()
-        return out
-
     def cancel(self, event: Event) -> bool:
         """Withdraw a pending ``get``/``put`` that has not fired yet.
 

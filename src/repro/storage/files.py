@@ -83,7 +83,7 @@ class SimFile:
         """``(first, last)`` segment indexes a read touches, clipped.
 
         The allocation-free core of :meth:`read_segments` for hot paths
-        (the auditor's batched event fold) that walk the index range
+        (the auditor's event fold) that walk the index range
         directly instead of materialising a key list.  An empty span is
         signalled as ``(0, -1)`` so ``range(first, last + 1)`` is empty.
         """

@@ -112,15 +112,6 @@ class Telemetry:
         """Whether :meth:`bind` has been called."""
         return self._env is not None
 
-    # -- flow bookkeeping --------------------------------------------------
-    def bind_key(self, key, flow: int) -> None:
-        """Remember which fs event last touched a segment key."""
-        self.key_flow[key] = flow
-
-    def flow_of_key(self, key) -> Optional[int]:
-        """Flow id of the event that last touched ``key``, if traced."""
-        return self.key_flow.get(key)
-
     # -- deferred folding --------------------------------------------------
     def add_finalizer(self, fn) -> None:
         """Register a zero-arg callback to run once at end of run.

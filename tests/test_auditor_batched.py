@@ -1,11 +1,13 @@
-"""Equivalence of the auditor's batched event fold with the per-event path.
+"""Equivalence of the auditor's event fold with a per-op reference model.
 
-``FileSegmentAuditor.on_events`` is a performance fast path; its contract
-is *byte-identical observable state* to looping ``on_event`` over the
-same sequence.  These tests drive both paths over deterministic mixed
-workloads (multiple files, pids, nodes, multi-segment reads, interleaved
-writes, missing files, zero-size reads) and compare every piece of
-state the rest of the system can observe.
+``FileSegmentAuditor.on_events`` mutates segment records in place on
+their shard and charges the map traffic in one aggregate.  Its contract
+is the observable state and accounting of a fold that does one charged
+DHM op per map access (:func:`reference_fold`).  These tests drive both
+over deterministic mixed workloads (multiple files, pids, nodes,
+multi-segment reads, interleaved writes, missing files, zero-size
+reads, a shard outage) and compare every piece of state the rest of the
+system can observe.
 """
 
 from __future__ import annotations
@@ -14,7 +16,9 @@ import pytest
 
 from repro.core.auditor import FileSegmentAuditor
 from repro.core.config import HFetchConfig
+from repro.core.stats import SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
+from repro.dhm.wal import WriteAheadLog
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
 from repro.storage.segments import SegmentKey
@@ -56,9 +60,69 @@ def make_events() -> list[FileEvent]:
     return events
 
 
-def fold_per_event(auditor: FileSegmentAuditor, events) -> None:
+def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
+    """The per-event fold, written against the public DHM API.
+
+    Each segment a read touches is one atomic ``update`` of its record,
+    plus a ``get`` of the stream's predecessor and, when that record
+    exists, a separate ``update`` that links it to the segment.  Every
+    map access is its own charged op, so this is the accounting that the
+    shard-local fast path in :meth:`FileSegmentAuditor.on_events` must
+    reproduce.
+    """
+    auditor.events_processed += 1
+    if event.etype is EventType.WRITE:
+        auditor._on_write(event)
+        return
+    if event.etype is not EventType.READ or not auditor.fs.exists(event.file_id):
+        return
+    f = auditor.fs.get(event.file_id)
+    dhm = auditor.stats_map
+    stream = (event.file_id, event.pid)
+    prev = auditor._last_segment.get(stream)
+    keys = f.read_segments(event.offset, event.size)
+    for key in keys:
+
+        def record(stats, key=key, prev=prev):
+            if stats is None:
+                stats = SegmentStats(
+                    key=key,
+                    nbytes=f.segment_bytes(key),
+                    max_history=auditor.config.max_history,
+                )
+                auditor._file_keys.setdefault(key.file_id, {})[key] = None
+            stats.record(event.timestamp, prev)
+            return stats
+
+        def link(stats, key=key):
+            stats.link_successor(key)
+            return stats
+
+        dhm.update(key, record, from_shard=event.node % dhm.shards)
+        if prev is not None and prev != key and dhm.get(prev) is not None:
+            dhm.update(prev, link)
+        auditor._home_node.setdefault(key, event.node)
+        dirty = auditor._dirty
+        if key in dirty or len(dirty) < auditor.config.dirty_vector_capacity:
+            dirty[key] = None
+        else:
+            auditor.dirty_dropped += 1
+        auditor.score_updates += 1
+        prev = key
+    if keys:
+        auditor._last_segment[stream] = keys[-1]
+        auditor._file_streams.setdefault(event.file_id, {})[stream] = None
+
+
+def fold_reference(auditor: FileSegmentAuditor, events) -> None:
     for ev in events:
-        auditor.on_event(ev)
+        reference_fold(auditor, ev)
+
+
+def fold_one_at_a_time(auditor: FileSegmentAuditor, events) -> None:
+    """What the hardware monitor's daemons do."""
+    for ev in events:
+        auditor.on_events((ev,))
 
 
 def stats_state(auditor: FileSegmentAuditor) -> dict:
@@ -75,45 +139,72 @@ def stats_state(auditor: FileSegmentAuditor) -> dict:
     return out
 
 
-def assert_equivalent(per: FileSegmentAuditor, batched: FileSegmentAuditor) -> None:
-    assert stats_state(per) == stats_state(batched)
-    assert list(per._dirty) == list(batched._dirty)
-    assert per._last_segment == batched._last_segment
-    assert per._home_node == batched._home_node
-    assert per.events_processed == batched.events_processed
-    assert per.score_updates == batched.score_updates
-    assert per.invalidations == batched.invalidations
-    assert per.dirty_dropped == batched.dirty_dropped
-    pm, bm = per.stats_map, batched.stats_map
-    assert pm.updates == bm.updates
-    assert pm.gets == bm.gets
-    assert pm.deletes == bm.deletes
-    assert pm.local_ops == bm.local_ops
-    assert pm.remote_ops == bm.remote_ops
+def assert_equivalent(ref: FileSegmentAuditor, fold: FileSegmentAuditor) -> None:
+    assert stats_state(ref) == stats_state(fold)
+    assert list(ref._dirty) == list(fold._dirty)
+    assert ref._last_segment == fold._last_segment
+    assert ref._home_node == fold._home_node
+    assert ref.events_processed == fold.events_processed
+    assert ref.score_updates == fold.score_updates
+    assert ref.invalidations == fold.invalidations
+    assert ref.dirty_dropped == fold.dirty_dropped
+    rm, fm = ref.stats_map, fold.stats_map
+    assert rm.updates == fm.updates
+    assert rm.gets == fm.gets
+    assert rm.deletes == fm.deletes
+    assert rm.local_ops == fm.local_ops
+    assert rm.remote_ops == fm.remote_ops
+    assert rm.degraded_ops == fm.degraded_ops
+    assert rm.retries == fm.retries
     # float summation order differs between one charge per op and one
-    # aggregated charge per batch
-    assert pm.total_cost == pytest.approx(bm.total_cost)
+    # aggregated charge per fold
+    assert rm.total_cost == pytest.approx(fm.total_cost)
 
 
 @pytest.mark.parametrize("shards", [1, 4])
 def test_on_events_equivalent_to_per_event_loop(shards):
     events = make_events()
-    per = FileSegmentAuditor(
-        HFetchConfig(), make_fs(), stats_map=DistributedHashMap(shards=shards)
+    ref, whole, single = (
+        FileSegmentAuditor(
+            HFetchConfig(), make_fs(), stats_map=DistributedHashMap(shards=shards)
+        )
+        for _ in range(3)
     )
-    batched = FileSegmentAuditor(
-        HFetchConfig(), make_fs(), stats_map=DistributedHashMap(shards=shards)
-    )
-    fold_per_event(per, events)
-    n = batched.on_events(events)
-    assert n == len(events)
-    assert batched.batched_events == len(events)
-    assert_equivalent(per, batched)
+    fold_reference(ref, events)
+    assert whole.on_events(events) == len(events)
+    fold_one_at_a_time(single, events)
+    for fold in (whole, single):
+        assert_equivalent(ref, fold)
     # drained dirty vectors (the engine's input) match in content & order
-    assert per.drain_dirty() == batched.drain_dirty()
-    # and the scores computed from both states are identical
+    assert ref.drain_dirty() == whole.drain_dirty() == single.drain_dirty()
+    # and the scores computed from all states are identical
     keys = [SegmentKey("/a", i) for i in range(64)]
-    assert list(per.batch_score(keys, 1.0)) == list(batched.batch_score(keys, 1.0))
+    assert list(ref.batch_score(keys, 1.0)) == list(single.batch_score(keys, 1.0))
+
+
+def test_shard_outage_mid_sequence_charges_like_per_op_fold():
+    """With the WAL on, a shard that fails mid-sequence costs the fold
+    one degraded op per map access on it, link updates included."""
+    events = make_events()
+
+    def run(fold):
+        auditor = FileSegmentAuditor(
+            HFetchConfig(),
+            make_fs(),
+            stats_map=DistributedHashMap(shards=4, wal=WriteAheadLog()),
+        )
+        fold(auditor, events[:150])
+        auditor.stats_map.fail_shard(1)
+        fold(auditor, events[150:300])
+        auditor.stats_map.recover_shard(1)
+        fold(auditor, events[300:])
+        return auditor
+
+    ref = run(fold_reference)
+    fold = run(fold_one_at_a_time)
+    assert fold.stats_map.degraded_ops > 0
+    assert_equivalent(ref, fold)
+    assert ref.drain_dirty() == fold.drain_dirty()
 
 
 def test_on_events_chunked_matches_single_batch():
@@ -137,11 +228,11 @@ def test_write_invalidation_ordering_within_batch():
         FileEvent(EventType.WRITE, "/a", timestamp=0.2, pid=1),
         FileEvent(EventType.READ, "/a", offset=0, size=MB, timestamp=0.3, pid=1),
     ]
-    per = FileSegmentAuditor(config, make_fs())
+    ref = FileSegmentAuditor(config, make_fs())
     batched = FileSegmentAuditor(config, fs)
-    fold_per_event(per, events)
+    fold_reference(ref, events)
     batched.on_events(events)
-    assert_equivalent(per, batched)
+    assert_equivalent(ref, batched)
     # the surviving record is the post-write access only
     s = batched.stats_of(SegmentKey("/a", 0))
     assert s is not None and s.refs == 1 and list(s.times) == [0.3]
@@ -170,6 +261,7 @@ def test_cross_stream_sequencing_in_batch():
 
 
 def test_on_events_notifies_listeners_once_with_final_count():
+    """One call per fold, with that fold's number of score updates."""
     auditor = FileSegmentAuditor(HFetchConfig(), make_fs())
     calls: list[int] = []
     auditor.add_update_listener(calls.append)
@@ -180,7 +272,11 @@ def test_on_events_notifies_listeners_once_with_final_count():
         ]
     )
     assert calls == [4]
-    assert auditor.score_updates == 4
+    auditor.on_events(
+        [FileEvent(EventType.READ, "/a", offset=4 * MB, size=2 * MB, timestamp=0.3)]
+    )
+    assert calls == [4, 2]
+    assert auditor.score_updates == 6
 
 
 def test_on_events_respects_dirty_capacity():

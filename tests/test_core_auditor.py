@@ -155,9 +155,13 @@ def test_build_heatmap_shape():
     assert hm.scores[0] > 0 and hm.scores[5] == 0
 
 
-def test_update_listener_sees_running_count():
+def test_update_listener_sees_update_delta():
+    """Listeners get each fold's number of score updates, not a total."""
     aud, _ = make_auditor()
     seen = []
     aud.add_update_listener(seen.append)
     aud.on_event(read_event(0, 2 * MB))
-    assert seen == [1, 2]
+    assert seen == [2]
+    aud.on_event(read_event(2 * MB, MB))
+    assert seen == [2, 1]
+    assert aud.score_updates == 3

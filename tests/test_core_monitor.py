@@ -108,18 +108,27 @@ def test_consumption_rate_exposed():
     mon.stop()
 
 
-# ------------------------------------------------------- batched draining
+# ------------------------------------------------------ single-event folds
 def test_batched_daemon_folds_same_events():
-    """monitor_batch_size > 1 consumes the same events into the auditor."""
-    env, mon, queue, auditor = make(daemons=1, monitor_batch_size=8)
+    """Daemons fold each file event through ``on_events``, one at a time,
+    and keep capacity events out of the auditor."""
+    env, mon, queue, auditor = make(daemons=1)
+    folds = []
+    fold = auditor.on_events
+
+    def spy(events):
+        folds.append(len(events))
+        return fold(events)
+
+    auditor.on_events = spy
     mon.start()
     for i in range(10):
         queue.push(FileEvent(EventType.READ, "/f", offset=(i % 8) * MB, size=MB,
                              timestamp=0.0))
     queue.push(CapacityEvent(tier_name="RAM", free_bytes=123.0))
     env.run(until=1.0)
+    assert folds == [1] * 10
     assert auditor.events_processed == 10
-    assert auditor.batched_events == 10  # all went through on_events
     assert mon.file_events == 10
     assert mon.capacity_events == 1
     assert mon.tier_free["RAM"] == 123.0
@@ -127,28 +136,13 @@ def test_batched_daemon_folds_same_events():
 
 
 def test_batched_daemon_charges_per_event_service_time():
-    """Batch draining amortises hand-offs but not virtual service time."""
-
-    def drain_time(batch):
-        env, mon, queue, _aud = make(
-            daemons=1, event_service_time=0.01, auditor_lock_time=0.0,
-            monitor_batch_size=batch,
-        )
-        mon.start()
-        for i in range(12):
-            queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
-        env.run(until=5.0)
-        mon.stop()
-        return mon.busy_time
-
-    assert drain_time(6) == pytest.approx(drain_time(1))
-
-
-def test_batch_size_one_uses_per_event_path():
-    env, mon, queue, auditor = make(daemons=1)  # default batch size 1
+    """Each event costs one service time plus one auditor hand-off."""
+    env, mon, queue, _aud = make(
+        daemons=1, event_service_time=0.01, auditor_lock_time=0.002,
+    )
     mon.start()
-    queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
-    env.run(until=1.0)
-    assert auditor.events_processed == 1
-    assert auditor.batched_events == 0  # legacy path, not on_events
+    for i in range(12):
+        queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
+    env.run(until=5.0)
     mon.stop()
+    assert mon.busy_time == pytest.approx(12 * (0.01 + 0.002))

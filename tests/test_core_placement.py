@@ -142,6 +142,25 @@ def test_count_trigger_fires_engine():
     engine.stop()
 
 
+def test_one_multi_segment_read_counts_every_score_update():
+    """The count trigger adds each fold's update delta: one 4-segment
+    read is four score updates, enough for a threshold of 4."""
+    env, engine, auditor, hier, io = build(
+        engine_interval=1000.0, engine_update_threshold=4
+    )
+    engine.start()
+    env.run(until=1e-9)  # the trigger loop arms its count trigger
+    assert not engine._count_trigger.triggered
+    auditor.on_event(
+        FileEvent(EventType.READ, "/f", offset=0, size=4 * MB, timestamp=0.0)
+    )
+    assert engine._updates_since_pass == 4
+    assert engine._count_trigger.triggered
+    env.run(until=1.0)
+    assert engine.passes == 1
+    engine.stop()
+
+
 def test_interval_trigger_fires_engine():
     env, engine, auditor, hier, io = build(
         engine_interval=0.5, engine_update_threshold=1 << 30

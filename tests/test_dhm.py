@@ -180,30 +180,6 @@ def test_get_many_default_and_order():
     assert m.get_many(["missing", "x"], default=-1) == [-1, 1]
 
 
-def test_update_many_matches_per_key_updates():
-    a = DistributedHashMap(shards=4)
-    b = DistributedHashMap(shards=4)
-    keys = [f"k{i}" for i in range(17)]
-    for k in keys:
-        a.update(k, lambda v: (v or 0) + 1, from_shard=1)
-    out = b.update_many(keys, lambda k, v: (v or 0) + 1, from_shard=1)
-    assert out == [1] * len(keys)
-    assert a.snapshot() == b.snapshot()
-    assert a.updates == b.updates
-    assert a.local_ops == b.local_ops
-    assert a.remote_ops == b.remote_ops
-    assert a.total_cost == pytest.approx(b.total_cost)
-
-
-def test_update_many_logs_to_wal():
-    wal = WriteAheadLog()
-    m = DistributedHashMap(shards=2, wal=wal)
-    m.update_many(["a", "b"], lambda k, v: k.upper())
-    reborn = DistributedHashMap(shards=2)
-    reborn.restore(wal.recover())
-    assert reborn.get("a") == "A" and reborn.get("b") == "B"
-
-
 def test_charge_batch_accounting():
     m = DistributedHashMap(shards=2, cost=OpCost(local=1.0, remote=10.0))
     m.charge_batch(local_ops=3, remote_ops=2, gets=1, updates=4)

@@ -158,29 +158,21 @@ class _StubAuditor:
     def __init__(self):
         self.seen = []
 
-    def on_event(self, event):
-        self.seen.append(event)
-
     def on_events(self, events):
         self.seen.extend(events)
 
 
-def make_monitor(env, queue, batch=4, daemons=2):
-    config = HFetchConfig(monitor_batch_size=batch, daemon_threads=daemons)
+def make_monitor(env, queue, daemons=2):
+    config = HFetchConfig(daemon_threads=daemons)
     return HardwareMonitor(env, config, queue, _StubAuditor())
 
 
-def test_pop_ready_on_empty_queue_returns_immediately():
-    q = EventQueue(Environment())
-    assert q.pop_ready(8) == []
-
-
 def test_batched_monitor_idles_on_empty_queue():
-    """Regression: monitor_batch_size > 1 with no pending events must
-    neither block the simulation nor busy-spin the clock forward."""
+    """Regression: daemons with no pending events must neither block the
+    simulation nor busy-spin the clock forward."""
     env = Environment()
     q = EventQueue(env)
-    monitor = make_monitor(env, q, batch=4)
+    monitor = make_monitor(env, q)
     monitor.start()
     env.run()  # a busy-spinning daemon would keep this from returning
     assert env.now == 0.0
@@ -191,25 +183,26 @@ def test_batched_monitor_idles_on_empty_queue():
 def test_batched_monitor_drains_then_idles():
     env = Environment()
     q = EventQueue(env)
-    monitor = make_monitor(env, q, batch=4)
+    monitor = make_monitor(env, q)
     monitor.start()
     for i in range(3):
         q.push(FileEvent(EventType.READ, "f", offset=i, size=1, timestamp=0.0))
     env.run()
     assert monitor.file_events == 3
+    assert [e.offset for e in monitor.auditor.seen] == [0, 1, 2]
     before = env.now
     env.run()  # nothing left: the pool parks without advancing time
     assert env.now == before
     monitor.stop()
 
 
-@pytest.mark.parametrize("batch", [1, 4])
-def test_stopped_monitor_does_not_swallow_events(batch):
+@pytest.mark.parametrize("daemons", [1, 4])
+def test_stopped_monitor_does_not_swallow_events(daemons):
     """Regression: daemons interrupted while blocked on ``pop()`` must
     withdraw their pending getters, or a later push is silently eaten."""
     env = Environment()
     q = EventQueue(env)
-    monitor = make_monitor(env, q, batch=batch)
+    monitor = make_monitor(env, q, daemons=daemons)
     monitor.start()
     env.run()  # daemons are now parked on empty pops
     monitor.stop()
