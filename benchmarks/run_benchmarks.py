@@ -15,9 +15,7 @@ With ``--telemetry-overhead`` the runner also measures the wall-clock
 cost of full instrumentation (alternating telemetry-off / telemetry-on
 repeats of a medium HFetch run) and embeds the result as a
 ``telemetry_overhead`` block in the target JSON; the subsystem's budget
-is <5% median overhead.  ``--diagnosis-overhead`` does the same for the
-diagnosis layer (telemetry-on vs telemetry-on + decision provenance),
-against the same 5% budget, embedded as ``diagnosis_overhead``.
+is <5% median overhead.
 
 Usage::
 
@@ -26,7 +24,6 @@ Usage::
     python benchmarks/run_benchmarks.py -k kernel     # subset of the suite
     python benchmarks/run_benchmarks.py --quick       # CI smoke: run once, no timing
     python benchmarks/run_benchmarks.py --label PR3 --telemetry-overhead
-    python benchmarks/run_benchmarks.py --label PR4 --diagnosis-overhead
 """
 
 from __future__ import annotations
@@ -131,129 +128,6 @@ def measure_telemetry_overhead(repeats: int = 11) -> dict:
     }
 
 
-def measure_diagnosis_overhead(repeats: int = 11) -> dict:
-    """Wall-clock delta of decision provenance on an instrumented run.
-
-    Same paired-delta protocol as :func:`measure_telemetry_overhead`,
-    but both arms carry full telemetry — the treatment adds only the
-    diagnosis layer (``Telemetry(diagnosis=True)``: the provenance log
-    and every layer's recording guards), so the delta isolates what the
-    attribution machinery costs on top of an already-instrumented run.
-
-    The <5% budget covers the *recording* hot path — the part that runs
-    interleaved with the simulation.  The offline report derivation
-    (replay → waste → drift → oracle, run once at the end of ``run()``)
-    is subtracted from the timed delta and reported separately as
-    ``derive_median_s``: it is a post-run analysis like the trace
-    exporters, not per-event overhead, and its cost is a property of the
-    event volume, not of the simulation loop.
-    """
-    import gc
-
-    sys.path.insert(0, str(ROOT / "src"))
-    from repro import (
-        ClusterSpec,
-        HFetchConfig,
-        HFetchPrefetcher,
-        SimulatedCluster,
-        Telemetry,
-        WorkflowRunner,
-    )
-    from repro.runtime.cluster import TierSpec
-    from repro.storage.devices import BURST_BUFFER, DRAM, NVME
-    from repro.workloads.synthetic import partitioned_sequential_workload
-
-    mb = 1 << 20
-
-    def one_run(diagnosis):
-        workload = partitioned_sequential_workload(
-            processes=32, steps=6, bytes_per_proc_step=2 * mb, compute_time=0.05
-        )
-        cluster = SimulatedCluster(
-            ClusterSpec(
-                tiers=(
-                    TierSpec(DRAM, 64 * mb),
-                    TierSpec(NVME, 128 * mb),
-                    TierSpec(BURST_BUFFER, 256 * mb),
-                )
-            ).scaled_for(workload.num_processes)
-        )
-        runner = WorkflowRunner(
-            cluster,
-            workload,
-            HFetchPrefetcher(HFetchConfig(engine_interval=0.05)),
-            telemetry=Telemetry(
-                label="overhead", sample_interval=0.1, diagnosis=diagnosis
-            ),
-        )
-        gc.collect()
-        start = time.perf_counter()
-        runner.run()
-        wall = time.perf_counter() - start
-        return wall - runner.diagnosis_derive_s, runner.diagnosis_derive_s
-
-    one_run(False)  # warm-up discarded
-    one_run(True)
-    off: list[float] = []
-    on: list[float] = []
-    derive: list[float] = []
-    for _ in range(repeats):
-        off.append(one_run(False)[0])
-        wall, derived = one_run(True)
-        on.append(wall)
-        derive.append(derived)
-
-    off_median = statistics.median(off)
-    delta = statistics.median(o - f for o, f in zip(on, off))
-    overhead = delta / off_median
-    return {
-        "repeats": repeats,
-        "off_median_s": off_median,
-        "on_median_s": statistics.median(on),
-        "paired_delta_median_s": delta,
-        "derive_median_s": statistics.median(derive),
-        "off_runs_s": off,
-        "on_runs_s": on,
-        "overhead_fraction": overhead,
-        "budget_fraction": TELEMETRY_OVERHEAD_BUDGET,
-        "within_budget": overhead < TELEMETRY_OVERHEAD_BUDGET,
-    }
-
-
-def run_diagnosis_overhead_measurement(target: Path) -> int:
-    """Measure diagnosis overhead, embed it in ``target``, report."""
-    print("\n=== diagnosis overhead (provenance on vs off, both telemetered) ===")
-    block = measure_diagnosis_overhead()
-    data = {}
-    if target.exists():
-        try:
-            data = json.loads(target.read_text())
-        except (json.JSONDecodeError, OSError):
-            pass
-    data["diagnosis_overhead"] = block
-    target.write_text(json.dumps(data, indent=2))
-    print(
-        f"  off median: {block['off_median_s'] * 1e3:.1f} ms  "
-        f"on median: {block['on_median_s'] * 1e3:.1f} ms  "
-        f"paired delta: {block['paired_delta_median_s'] * 1e3:+.2f} ms  "
-        f"overhead: {block['overhead_fraction']:+.2%} "
-        f"(budget <{block['budget_fraction']:.0%})"
-    )
-    print(
-        f"  offline report derivation (excluded from the hot-path budget): "
-        f"{block['derive_median_s'] * 1e3:.2f} ms"
-    )
-    print(f"  -> {target.name}")
-    if not block["within_budget"]:
-        print(
-            f"diagnosis overhead {block['overhead_fraction']:.2%} exceeds the "
-            f"{block['budget_fraction']:.0%} budget",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def run_overhead_measurement(target: Path) -> int:
     """Measure telemetry overhead, embed it in ``target``, report."""
     print("\n=== telemetry overhead (on vs off, alternating repeats) ===")
@@ -305,12 +179,6 @@ def main(argv: list[str] | None = None) -> int:
         help="measure telemetry-on vs telemetry-off wall-clock delta and "
         "embed it in BENCH_<label>.json (budget: <5%%)",
     )
-    parser.add_argument(
-        "--diagnosis-overhead",
-        action="store_true",
-        help="measure decision-provenance wall-clock delta on top of an "
-        "instrumented run and embed it in BENCH_<label>.json (budget: <5%%)",
-    )
     args = parser.parse_args(argv)
 
     env = dict(os.environ)
@@ -327,8 +195,6 @@ def main(argv: list[str] | None = None) -> int:
         rc = subprocess.call(cmd, cwd=ROOT, env=env)
         if rc == 0 and args.telemetry_overhead:
             rc = run_overhead_measurement(target)
-        if rc == 0 and args.diagnosis_overhead:
-            rc = run_diagnosis_overhead_measurement(target)
         return rc
     # preserve any embedded before-measurements across re-runs
     baseline_before = None
@@ -356,11 +222,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.telemetry_overhead:
         rc = run_overhead_measurement(target)
-        if rc != 0:
-            return rc
-
-    if args.diagnosis_overhead:
-        rc = run_diagnosis_overhead_measurement(target)
         if rc != 0:
             return rc
 

@@ -82,10 +82,11 @@ class FileSegmentAuditor:
         self.telemetry = None
         self._tel_env = None
         self._fold_mark = None
-        self._dhm_mark = None
+        self._flows = None
 
     def bind_telemetry(self, telemetry) -> None:
-        """Open the fold/DHM-update trace streams on a live handle."""
+        """Open the fold trace stream on a live handle and register the
+        ``dhm.update`` stream its finalize fills from the fold records."""
         from repro.telemetry.handle import live
 
         tel = live(telemetry)
@@ -93,10 +94,11 @@ class FileSegmentAuditor:
             return
         self.telemetry = tel
         self._tel_env = tel.tracer.env
+        self._flows = tel.provenance.flow
         self._fold_mark = tel.tracer.stream(
             "auditor.fold", "auditor", "auditor", fields=("segments",)
         ).append
-        self._dhm_mark = tel.tracer.stream("dhm.update", "dhm", "dhm").append
+        tel.tracer.stream("dhm.update", "dhm", "dhm")
 
     # -- wiring ----------------------------------------------------------------
     def add_update_listener(self, fn: Callable[[int], None]) -> None:
@@ -207,11 +209,9 @@ class FileSegmentAuditor:
         file_streams = self._file_streams
         READ = EventType.READ
         WRITE = EventType.WRITE
-        tel = self.telemetry
-        key_flow = tel.key_flow if tel is not None else None
+        flows = self._flows
         tel_env = self._tel_env
         fold_mark = self._fold_mark
-        dhm_mark = self._dhm_mark
         # file_id -> (file, segment_size, last_index, last_nbytes) | None
         files: dict[str, Optional[tuple]] = {}
         processed = 0
@@ -256,8 +256,8 @@ class FileSegmentAuditor:
                 node_shard = node % nshards
                 for index in range(first, last + 1):
                     key = SegmentKey(fid, index)
-                    if key_flow is not None:
-                        key_flow[key] = event.eid
+                    if flows is not None:
+                        flows[key] = event.eid
                     sid = 0 if nshards == 1 else shard_of(key)
                     shard = local_shard(sid)
                     stats = shard.get(key)
@@ -314,9 +314,7 @@ class FileSegmentAuditor:
                     file_streams[fid] = fstreams = {}
                 fstreams[stream] = None
                 if fold_mark is not None:
-                    now = tel_env.now
-                    fold_mark((now, event.eid, last - first + 1))
-                    dhm_mark((now, event.eid))
+                    fold_mark((tel_env.now, event.eid, last - first + 1))
             elif etype is WRITE:
                 self._on_write(event)
             # OPEN/CLOSE: epochs are driven by the agent manager (below).

@@ -34,8 +34,8 @@ class MoveInstruction:
     ``src_name`` is where the bytes are read from (a tier name, possibly
     the file's origin tier); ``dst_name`` is the tier the segment was
     ledger-placed on.  ``home_node`` records the segment's locality for
-    remote-read accounting.  ``decision`` is the provenance id of the
-    placement decision that issued the move (−1 outside diagnosis runs);
+    remote-read accounting.  ``decision`` is the event-log id of the
+    placement decision that issued the move (−1 without telemetry);
     retries preserve it, so a move lineage is attributable end to end.
     """
 
@@ -44,7 +44,6 @@ class MoveInstruction:
     src_name: str
     dst_name: str
     home_node: int = 0
-    issued_at: float = 0.0
     retries: int = 0
     decision: int = -1
 
@@ -101,14 +100,9 @@ class IOClientPool:
         self.moves_failed = 0
         self.move_retries = 0
         self.demand_fallbacks = 0
-        # telemetry (None in normal runs: zero overhead)
+        # telemetry and its event log (None in normal runs: zero overhead)
         self.telemetry = None
-        self._h_move = None
-        self._c_retries = None
-        self._c_errors = None
         self._move_marks: dict[str, Callable] = {}
-        self._done_marks: dict[str, Callable] = {}
-        # decision provenance (diagnosis runs only)
         self._prov = None
 
     def bind_telemetry(self, telemetry) -> None:
@@ -121,35 +115,22 @@ class IOClientPool:
         self.telemetry = tel
         self._prov = tel.provenance
         reg = tel.registry
-        self._h_move = reg.histogram("io.move_latency_s")
-        self._c_retries = reg.counter("io.retries")
-        self._c_errors = reg.counter("io.errors")
+        # folded from the event log when the handle finalizes
+        reg.histogram("io.move_latency_s")
         reg.gauge("io.backlog", fn=lambda: self.backlog)
         # one trace stream pair per destination tier (workers of a tier
-        # share the tier's track); move latency is folded from the
-        # ``issued`` column at end of run, off the movement hot path
+        # share the tier's track); the handle fills ``io.move_done``
+        # from the event log at end of run
         tracer = tel.tracer
-        done_streams = []
         for tier in self.hierarchy.tiers:
             track = f"io-{tier.name}"
             self._move_marks[tier.name] = tracer.stream(
                 "io.move", "io", track, kind="span", fields=("n", "bytes")
             ).append
-            done = tracer.stream(
+            tracer.stream(
                 "io.move_done", "io", track,
                 fields=("src", "dst", "bytes", "issued"),
             )
-            done_streams.append(done)
-            self._done_marks[tier.name] = done.append
-
-        def _fold_move_latency() -> None:
-            observe = self._h_move.observe_many
-            for s in done_streams:
-                buf = s.buf
-                if buf:
-                    observe(ts - t0 for ts, t0 in zip(buf[0::6], buf[5::6]))
-
-        tel.add_finalizer(_fold_move_latency)
 
     # -- lifecycle ----------------------------------------------------------
     def start(self) -> None:
@@ -273,20 +254,10 @@ class IOClientPool:
         self.move_time += self.env.now - start
         prov = self._prov
         if prov is not None:
+            self._move_marks[dst_name]((start, self.env.now, None, len(batch), total))
             for ins in batch:
                 prov.move_done(
                     ins.decision, ins.key, ins.src_name, ins.dst_name, ins.nbytes
-                )
-        tel = self.telemetry
-        if tel is not None:
-            now = self.env.now
-            self._move_marks[dst_name]((start, now, None, len(batch), total))
-            done_mark = self._done_marks[dst_name]
-            key_flow = tel.key_flow
-            for ins in batch:
-                done_mark(
-                    (now, key_flow.get(ins.key), ins.src_name,
-                     ins.dst_name, ins.nbytes, ins.issued_at)
                 )
 
     def _fail_move(self, ins: MoveInstruction) -> None:
@@ -300,8 +271,6 @@ class IOClientPool:
         """
         if ins.retries < self.max_retries:
             self.move_retries += 1
-            if self._c_retries is not None:
-                self._c_retries.inc()
             if self.failure_listener is not None:
                 self.failure_listener("prefetch_retry")
             src = self._tier_or_none(ins.src_name)
@@ -312,8 +281,6 @@ class IOClientPool:
             return
         self.moves_failed += 1
         self.demand_fallbacks += 1
-        if self._c_errors is not None:
-            self._c_errors.inc()
         if self.in_flight.get(ins.key) == ins.src_name:
             self.in_flight.pop(ins.key, None)
         prov = self._prov

@@ -96,30 +96,24 @@ class PlacementEngine:
         self.plan_time = 0.0
         self.tier_failures = 0
         self.segments_rehomed = 0
-        # telemetry (None in normal runs: zero overhead)
+        # telemetry and its event log (None in normal runs: zero overhead)
         self.telemetry = None
-        self._h_dirty = None
-        self._place_mark = None
-        self._key_flow = None
-        # decision provenance (diagnosis runs only; same None pattern)
         self._prov = None
         self._plan_rank = -1
         self._rehoming = False
         auditor.add_update_listener(self._on_score_update)
 
     def bind_telemetry(self, telemetry) -> None:
-        """Open the placement-decision trace stream on a live handle."""
+        """Record decisions into a live handle's event log and register
+        the ``engine.place`` stream its finalize fills from the log."""
         from repro.telemetry.handle import live
 
         tel = live(telemetry)
         if tel is None:
             return
         self.telemetry = tel
-        self._key_flow = tel.key_flow
         self._prov = tel.provenance
-        self._place_mark = tel.tracer.stream(
-            "engine.place", "engine", "engine", fields=("tier", "score")
-        ).append
+        tel.tracer.stream("engine.place", "engine", "engine", fields=("tier", "score"))
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -174,11 +168,6 @@ class PlacementEngine:
         tel = self.telemetry
         pass_span = None
         if tel is not None:
-            if self._h_dirty is None:
-                self._h_dirty = tel.registry.histogram(
-                    "engine.dirty_batch", lo=1.0, growth=2.0, buckets=24
-                )
-            self._h_dirty.observe(float(len(dirty)))
             pass_span = tel.tracer.begin(
                 "engine.pass", track="engine", cat="engine", dirty=len(dirty)
             )
@@ -400,14 +389,10 @@ class PlacementEngine:
                     src_name=src_name,
                     dst_name=tier.name,
                     home_node=self.auditor.home_node(key),
-                    issued_at=self.env.now,
                     decision=decision,
                 )
             )
         self.segments_placed += 1
-        mark = self._place_mark
-        if mark is not None:
-            mark((self.env.now, self._key_flow.get(key), tier.name, score))
 
     def _origin_of(self, key: SegmentKey) -> str:
         if self.auditor.fs.exists(key.file_id):

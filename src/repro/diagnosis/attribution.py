@@ -203,7 +203,7 @@ def replay(prov) -> ReplayResult:
                 else:
                     out.miss_causes["never-placed"] += 1
         elif tag == EV_DECISION:
-            _t, t, did, sid, kind, score, rank, src, dst, nbytes, moved = ev
+            _t, t, did, sid, kind, score, rank, src, dst, nbytes, moved, _f = ev
             decisions[did] = Decision(
                 did=did, t=t, sid=sid, kind=kind, score=score, rank=rank,
                 src=src, dst=dst, nbytes=nbytes, moved=moved,
@@ -218,7 +218,7 @@ def replay(prov) -> ReplayResult:
                 close_window(st, t, "superseded")
                 st.win = [dst, did, t, 0, False]
         elif tag == EV_MOVE_DONE:
-            _t, t, did, sid, src, dst, nbytes = ev
+            _t, t, did, sid, src, dst, nbytes, _f = ev
             st = state(sid)
             entry = st.pending.pop(did, None)
             cancelled = entry[2] if entry is not None else None

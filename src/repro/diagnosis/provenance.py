@@ -1,15 +1,16 @@
-"""Decision-provenance recording for the diagnosis layer.
+"""Decision provenance: the event log of every telemetry run.
 
-A :class:`ProvenanceLog` is the lightweight in-run recording half of the
-attribution engine: every placement decision, move outcome, eviction and
-application read appends one small tuple to a single flat event list.
+A :class:`ProvenanceLog` is the in-run record of every placement
+decision, move outcome, eviction and application read: each appends one
+small tuple to a single flat event list, which the diagnosis layer
+replays and the telemetry handle's trace views are filled from.
 The *append order* of that list is the simulation's causal order (the
 DES executes one callback at a time), so the offline replay in
 :mod:`repro.diagnosis.attribution` never has to merge or sort streams —
 it walks the list once.
 
 Recording never advances the virtual clock and never touches any seeded
-RNG, so a run with diagnosis enabled produces the same
+RNG, so an instrumented run produces the same
 :class:`~repro.metrics.collector.RunResult` as one without (the
 equivalence test in ``tests/diagnosis/`` enforces this), and two
 same-seed runs produce byte-identical event lists — which is what makes
@@ -57,8 +58,8 @@ class ProvenanceLog:
 
     Event layouts (tag first, virtual timestamp second)::
 
-        (EV_DECISION,    t, did, sid, kind, score, rank, src, dst, nbytes, moved)
-        (EV_MOVE_DONE,   t, did, sid, src, dst, nbytes)
+        (EV_DECISION,    t, did, sid, kind, score, rank, src, dst, nbytes, moved, flow)
+        (EV_MOVE_DONE,   t, did, sid, src, dst, nbytes, flow)
         (EV_MOVE_FAILED, t, did, sid, nbytes)
         (EV_EVICT,       t, sid, tier, cause)
         (EV_READ,        t, sid, served, origin, hit, nbytes, pid)
@@ -69,7 +70,8 @@ class ProvenanceLog:
     victims and fault re-homing); ``moved`` records whether the decision
     submitted a physical :class:`~repro.core.io_clients.MoveInstruction`
     (a ledger-only placement on the tier already serving the segment
-    moves no bytes and therefore has no waste class).
+    moves no bytes and therefore has no waste class).  ``flow`` is the
+    segment's entry in :attr:`flow` when the record was made.
 
     An eviction's ``cause`` ("evicted", "rejected", "invalidated",
     "displaced", "move-failed") is passed down explicitly by the caller
@@ -88,6 +90,9 @@ class ProvenanceLog:
         self.keys: list = []
         self._ids: dict = {}
         self._next_decision = 0
+        #: segment key -> eid of the last file event folded into it (the
+        #: auditor writes it; decisions and moves inherit the flow)
+        self.flow: dict = {}
         #: engine-pass plan snapshots for the drift tracker:
         #: ``(t, ((sid, score), ...))``, capped
         self.snapshots: list[tuple] = []
@@ -148,13 +153,16 @@ class ProvenanceLog:
         self._next_decision = did + 1
         self._append(
             (EV_DECISION, self.now, did, self.sid(key), kind, score, rank,
-             src, dst, nbytes, moved)
+             src, dst, nbytes, moved, self.flow.get(key))
         )
         return did
 
     def move_done(self, did: int, key, src: str, dst: str, nbytes: int) -> None:
         """A move instruction physically settled at its destination."""
-        self._append((EV_MOVE_DONE, self.now, did, self.sid(key), src, dst, nbytes))
+        self._append(
+            (EV_MOVE_DONE, self.now, did, self.sid(key), src, dst, nbytes,
+             self.flow.get(key))
+        )
 
     def move_failed(self, did: int, key, nbytes: int) -> None:
         """A move instruction terminally failed (retry budget exhausted)."""

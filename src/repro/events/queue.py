@@ -76,7 +76,6 @@ class EventQueue:
         reg.gauge("queue.dropped", fn=lambda: self.dropped)
         reg.gauge("queue.level", fn=lambda: self.level)
         reg.gauge("queue.max_level", fn=lambda: self.max_level)
-        reg.gauge("queue.dropped_total", fn=lambda: self.dropped)
 
         def _fold_dwell() -> None:
             for dt in tel.tracer.flow_latencies("fs.emit", "queue.pop").values():

@@ -90,7 +90,7 @@ class WorkflowRunner:
         self.ctx: RuntimeContext = cluster.context(
             metrics=self.metrics, seed=seed, telemetry=tel
         )
-        # decision provenance (diagnosis runs only); the runner records
+        # the run's event log (telemetry runs only); the runner records
         # the read side and tells the log the hierarchy's shape, so
         # baseline prefetchers get oracle/regret numbers too
         self._prov = tel.provenance if tel is not None else None
@@ -170,10 +170,9 @@ class WorkflowRunner:
         extra = {"profile_cost": self.prefetcher.profile_cost()}
         if tel is not None:
             extra["telemetry"] = tel.headline()
-            if tel.provenance is not None:
+            if tel.diagnosis:
                 # offline analysis, not simulation hot path: its (real)
-                # wall cost is surfaced separately so the overhead
-                # benchmark can budget recording and derivation apart
+                # wall cost is surfaced separately from the run's
                 derive_start = perf_counter()
                 extra["diagnosis"] = tel.diagnosis_report().headline()
                 self.diagnosis_derive_s = perf_counter() - derive_start

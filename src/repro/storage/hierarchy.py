@@ -47,7 +47,7 @@ class StorageHierarchy:
         self.tier_failures = 0
         self.tier_recoveries = 0
         self.segments_displaced = 0
-        #: decision-provenance log (diagnosis runs only); :meth:`evict`
+        #: the run's event log (telemetry runs only); :meth:`evict`
         #: is the single choke point every cache departure goes through,
         #: so one tap here covers rejection, invalidation and rollback —
         #: callers pass the ``cause`` it records

@@ -3,9 +3,10 @@
 One :class:`Telemetry` object accompanies one workload run: the runner
 binds it to the simulation environment, the server wires it into the
 event queue, monitor, auditor, DHM, placement engine, I/O clients and
-hierarchy, and each layer records spans and metrics through it.  After
-the run, the handle exports a Chrome trace, a JSONL metric dump and a
-console summary, and contributes headline numbers to
+hierarchy, and each layer records spans, metrics and events (into the
+handle's event log) through it.  After the run, the handle exports a
+Chrome trace, a JSONL metric dump and a console summary, and
+contributes headline numbers to
 ``RunResult.extra["telemetry"]``.
 
 Instrumentation contract (mirrors the fault subsystem's equivalence
@@ -23,6 +24,8 @@ cost only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
@@ -36,7 +39,7 @@ __all__ = ["Telemetry", "NullTelemetry", "live"]
 
 
 class Telemetry:
-    """Tracer + metric registry + flow bookkeeping for one run.
+    """Tracer + metric registry + event log for one run.
 
     Parameters
     ----------
@@ -48,12 +51,11 @@ class Telemetry:
         Virtual-time cadence for the gauge/occupancy sampler the runner
         starts, or ``None`` for no periodic sampling.
     diagnosis:
-        When True, the handle carries a
-        :class:`~repro.diagnosis.provenance.ProvenanceLog` and every
-        instrumented layer records decision provenance into it; the
-        runner folds the derived headline into
-        ``RunResult.extra["diagnosis"]`` and the full report is
-        available via :meth:`diagnosis_report`.
+        When True, the runner derives the diagnosis report from the
+        run's event log (:attr:`provenance`, which every live handle
+        records) and folds its headline into
+        ``RunResult.extra["diagnosis"]``; the full report is available
+        via :meth:`diagnosis_report`.
     """
 
     enabled = True
@@ -72,18 +74,12 @@ class Telemetry:
         self.sample_interval = sample_interval
         self.registry = MetricRegistry()
         self.tracer: Optional[SpanTracer] = None
-        #: decision-provenance log, or None when diagnosis is off —
-        #: layers guard on ``tel.provenance is not None`` exactly like
-        #: the ``telemetry is None`` zero-overhead pattern
-        self.provenance = None
-        if diagnosis:
-            from repro.diagnosis.provenance import ProvenanceLog
+        from repro.diagnosis.provenance import ProvenanceLog
 
-            self.provenance = ProvenanceLog()
+        #: the run's event log (decisions, moves, evictions, reads)
+        self.provenance = ProvenanceLog()
+        self.diagnosis = diagnosis
         self._diagnosis_report = None
-        #: segment key -> eid of the last fs event that touched it, the
-        #: link that lets a placement decision inherit its event's flow
-        self.key_flow: dict = {}
         self._env: Optional["Environment"] = None
         # deferred-fold callbacks (e.g. the DHM reconstructs its per-op
         # cost histogram from op counters here, off the simulation hot
@@ -103,8 +99,7 @@ class Telemetry:
             )
         self._env = env
         self.tracer = SpanTracer(env, max_spans=self.max_spans)
-        if self.provenance is not None:
-            self.provenance.bind_env(env)
+        self.provenance.bind_env(env)
         return self
 
     @property
@@ -123,19 +118,70 @@ class Telemetry:
         self._finalizers.append(fn)
 
     def finalize(self) -> None:
-        """Run registered finalizers (idempotent; the runner calls this)."""
+        """Fill the views and run registered finalizers (idempotent; the
+        runner calls this)."""
         if self._finalized:
             return
         self._finalized = True
+        if self.tracer is not None:
+            self.tracer.enforce_caps()
+            self._fill_views()
         for fn in self._finalizers:
             fn()
+
+    def _fill_views(self) -> None:
+        """Fill the streams that are views of other records.
+
+        The layers register them where they bind, so track ids and record
+        order are as if recorded live.  ``engine.place`` and
+        ``io.move_done`` come from the event log (a move's ``issued`` time
+        is its decision's) and ``dhm.update`` from the ``auditor.fold``
+        records; a view keeps what was recorded until the retention cap
+        froze the trace.  ``io.move_latency_s`` (whole log) and
+        ``engine.dirty_batch`` (``engine.pass`` spans) are folded here.
+        """
+        from repro.diagnosis.provenance import EV_DECISION, EV_MOVE_DONE
+
+        tracer = self.tracer
+        # the engine's track, and the I/O clients' one per destination tier
+        views = {
+            s.track: s for n in ("engine.place", "io.move_done") for s in tracer.named(n)
+        }
+        issued: dict = {}
+        for ev in self.provenance.events:
+            if ev[0] == EV_DECISION:
+                issued[ev[2]] = ev[1]
+                views["engine"].buf.extend((ev[1], ev[11], ev[8], ev[5]))
+            elif ev[0] == EV_MOVE_DONE:
+                views[f"io-{ev[5]}"].buf.extend(
+                    (ev[1], ev[7], ev[4], ev[5], ev[6], issued[ev[2]])
+                )
+        h = self.registry.get("io.move_latency_s")
+        for s in tracer.named("io.move_done"):  # before the cap trims them
+            h.observe_many(ts - t0 for ts, t0 in zip(s.buf[0::6], s.buf[5::6]))
+        for fold, dhm in zip(tracer.named("auditor.fold"), tracer.named("dhm.update")):
+            dhm.buf.extend(chain.from_iterable(zip(fold.buf[0::3], fold.buf[1::3])))
+            dhm.dropped += fold.dropped
+            tracer.dropped += fold.dropped
+            views["dhm"] = dhm
+        if tracer.frozen_at is not None:  # the views were frozen empty
+            for v in views.values():
+                v.limit = v.stride * bisect_right(v.buf[0::v.stride], tracer.frozen_at)
+            tracer.enforce_caps()
+        passes = tracer.begun("engine.pass")
+        if passes:
+            h = self.registry.histogram(
+                "engine.dirty_batch", lo=1.0, growth=2.0, buckets=24
+            )
+            for sp in passes:
+                h.observe(float(sp.args["dirty"]))
 
     # -- diagnosis ---------------------------------------------------------
     def diagnosis_report(self):
         """The derived :class:`~repro.diagnosis.report.DiagnosisReport`,
         or ``None`` when the run had diagnosis off.  Derivation happens
         once and is cached (the runner triggers it for the headline)."""
-        if self.provenance is None:
+        if not self.diagnosis:
             return None
         if self._diagnosis_report is None:
             from repro.diagnosis.report import DiagnosisReport
@@ -192,6 +238,7 @@ class Telemetry:
 
         if self.tracer is None:
             raise RuntimeError("telemetry was never bound to a run; nothing to export")
+        self.finalize()
         return export_chrome_trace(self.tracer, path, label=self.label)
 
     def export_metrics_jsonl(self, path: "str | Path") -> int:

@@ -16,8 +16,8 @@ DHM update → placement decision → data movement.
 Two recording APIs coexist:
 
 * the generic :meth:`~SpanTracer.begin`/:meth:`~SpanTracer.end` /
-  :meth:`~SpanTracer.instant` / :meth:`~SpanTracer.complete` calls, for
-  cold sites (a handful of records per run) and ad-hoc use;
+  :meth:`~SpanTracer.instant` calls, for cold sites (a handful of
+  records per run) and ad-hoc use;
 * per-site :class:`Stream` buffers from :meth:`~SpanTracer.stream`, for
   the per-event pipeline sites that fire thousands of times per run.
   A stream stores its name/category/track and field names *once* and
@@ -110,7 +110,10 @@ class Stream:
     span's ``args`` when records are materialised for export.
     """
 
-    __slots__ = ("name", "cat", "track", "kind", "fields", "stride", "buf", "append", "capped")
+    __slots__ = (
+        "name", "cat", "track", "kind", "fields", "stride", "buf", "append",
+        "limit", "dropped",
+    )
 
     def __init__(
         self,
@@ -130,7 +133,10 @@ class Stream:
         self.stride = (3 if kind == "span" else 2) + len(self.fields)
         self.buf: list = []
         self.append = self.buf.extend
-        self.capped = False
+        #: slots kept once the retention cap froze the stream, and the
+        #: records trimmed past them
+        self.limit: Optional[int] = None
+        self.dropped = 0
 
     def __len__(self) -> int:
         return len(self.buf) // self.stride
@@ -150,8 +156,8 @@ class SpanTracer:
         Retention cap.  Past it new generic records are counted in
         :attr:`dropped` instead of stored, bounding trace memory on
         long runs (the cap is per run, not per track).  Stream buffers
-        check the cap only when :meth:`enforce_caps` runs (the runner's
-        sampler calls it each tick), trading exactness at the cap for a
+        check the cap only when :meth:`enforce_caps` runs (each sampler
+        tick, and at finalize), trading exactness at the cap for a
         branch-free hot path.
     """
 
@@ -164,10 +170,9 @@ class SpanTracer:
         self.max_spans = max_spans
         # Generic-API record log: one flat list of scalars, eight slots
         # per record: ``name, cat, track, start, flow, depth, args,
-        # tail`` where ``tail`` is the end time for :meth:`complete`
-        # spans, ``None`` for instants, or the ``_OPEN`` sentinel
-        # marking a :class:`Span` object (from :meth:`begin`) stored in
-        # slot 0.
+        # tail`` where ``tail`` is ``None`` for instants, or the
+        # ``_OPEN`` sentinel marking a :class:`Span` object (from
+        # :meth:`begin`) stored in slot 0.
         self._flat: list = []
         self._max_flat = max_spans * self._STRIDE
         # hot-site streams, in registration order
@@ -176,6 +181,8 @@ class SpanTracer:
         self._spans: list[Span] = []
         self._cache_key: tuple = (0, 0)
         self.dropped = 0
+        #: virtual time the retention cap froze the streams (None: never)
+        self.frozen_at: Optional[float] = None
         # per-track open-span stacks (nesting) and track ids in
         # first-use order (deterministic given deterministic code paths)
         self._stacks: dict[str, list[Span]] = {}
@@ -200,25 +207,36 @@ class SpanTracer:
         s = Stream(name, cat=cat, track=track, kind=kind, fields=fields)
         if track not in self._tracks:
             self._tracks[track] = len(self._tracks)
+        if self.frozen_at is not None:
+            s.limit = 0
         self._streams.append(s)
         return s
 
-    def enforce_caps(self) -> None:
-        """Freeze every stream once the retention cap is reached.
+    def named(self, name: str) -> list[Stream]:
+        """The streams registered under ``name``, in registration order."""
+        return [s for s in self._streams if s.name == name]
 
-        Called periodically off the hot path (the occupancy sampler's
-        tick); a frozen stream's ``append`` only bumps :attr:`dropped`.
+    def enforce_caps(self) -> None:
+        """Hold every stream at its length once the retention cap is reached.
+
+        Called off the hot path.  The first call at the cap freezes every
+        stream's length and notes the time in :attr:`frozen_at`; later
+        calls move the records appended since into :attr:`dropped`,
+        trimming the buffers in place so the ``append`` methods the sites
+        cached keep working.
         """
-        if len(self) < self.max_spans:
+        if self.frozen_at is None:
+            if len(self) >= self.max_spans:
+                self.frozen_at = self.env.now
+                for s in self._streams:
+                    s.limit = len(s.buf)
             return
         for s in self._streams:
-            if not s.capped:
-                s.capped = True
-
-                def _drop(_rec: tuple, _t: "SpanTracer" = self) -> None:
-                    _t.dropped += 1
-
-                s.append = _drop
+            excess = (len(s.buf) - s.limit) // s.stride
+            if excess > 0:
+                del s.buf[s.limit:]
+                s.dropped += excess
+                self.dropped += excess
 
     # -- materialisation ---------------------------------------------------
     @property
@@ -239,24 +257,18 @@ class SpanTracer:
         decorated: list = []
         pos = 0
         for i in range(0, len(flat), 8):
-            tail = flat[i + 7]
-            if tail is _OPEN:
+            if flat[i + 7] is _OPEN:
                 span = flat[i]
-            else:
+            else:  # instant
                 span = Span.__new__(Span)
                 span.name = flat[i]
                 span.cat = flat[i + 1]
                 span.track = flat[i + 2]
-                span.start = flat[i + 3]
+                span.start = span.end = flat[i + 3]
                 span.flow = flat[i + 4]
                 span.depth = flat[i + 5]
                 span.args = flat[i + 6]
-                if tail is None:  # instant
-                    span.end = span.start
-                    span.phase = "i"
-                else:  # completed interval span
-                    span.end = tail
-                    span.phase = "X"
+                span.phase = "i"
             decorated.append(((span.start, 0, pos), span))
             pos += 1
         for si, s in enumerate(self._streams, 1):
@@ -400,34 +412,6 @@ class SpanTracer:
              len(stack) if stack else 0, args or None, None)
         )
 
-    def complete(
-        self,
-        name: str,
-        track: str = "sim",
-        cat: str = "sim",
-        start: float = 0.0,
-        flow: Optional[int] = None,
-        **args: Any,
-    ) -> None:
-        """Record an already-finished span in one call.
-
-        For sites that know their own start time, this replaces a
-        :meth:`begin`/:meth:`end` pair (and its mutable Span object)
-        with a single flat record ending at the current virtual time.
-        """
-        flat = self._flat
-        if len(flat) >= self._max_flat:
-            self.dropped += 1
-            return
-        tracks = self._tracks
-        if track not in tracks:
-            tracks[track] = len(tracks)
-        stack = self._stacks.get(track)
-        flat.extend(
-            (name, cat, track, start, flow,
-             len(stack) if stack else 0, args or None, self.env.now)
-        )
-
     # -- queries -----------------------------------------------------------
     def _flow_firsts(self, name: str) -> dict:
         """First record timestamp per flow, over records named ``name``.
@@ -472,6 +456,12 @@ class SpanTracer:
             if cur is None or ts < cur:
                 out[flow] = ts
         return out
+
+    def begun(self, name: str) -> list[Span]:
+        """Spans opened with :meth:`begin` under ``name``, in opening order."""
+        return [
+            sp for sp in self._flat[0::8] if sp.__class__ is Span and sp.name == name
+        ]
 
     def flow_latencies(self, start_name: str, end_name: str) -> dict:
         """Per-flow latency from the first ``start_name`` record to the

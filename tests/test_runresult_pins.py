@@ -5,7 +5,8 @@ divisor-32 Montage and WRF runs at seed 2020 (built like the largest
 Fig. 6(a)/6(b) points), plus one Montage run through a DHM shard outage.
 A host-side speedup of any layer must reproduce these values exactly; a
 change that moves one of them changes simulated behaviour and must say
-so (and re-record the pin).
+so (and re-record the pin).  Telemetry and diagnosis are documented as
+behaviour-neutral, so the Montage and WRF pins must also hold with them on.
 """
 
 from dataclasses import asdict, replace
@@ -17,6 +18,7 @@ from repro.core.prefetcher import HFetchPrefetcher
 from repro.experiments.common import GB, MB, PAPER_RANKS, build_cluster, tier_spec
 from repro.faults import FaultPlan
 from repro.runtime.runner import WorkflowRunner
+from repro.telemetry import Telemetry
 from repro.workloads.montage import montage_workload
 from repro.workloads.wrf import wrf_workload
 
@@ -25,7 +27,7 @@ DIVISOR = 32
 RANKS = PAPER_RANKS[-1] // DIVISOR
 
 
-def montage_run(fault_plan=None, **config):
+def montage_run(fault_plan=None, telemetry=None, **config):
     tiers = tier_spec(
         ram=int(1.5 * GB) // DIVISOR, nvme=2 * GB // DIVISOR, bb=400 * GB // DIVISOR
     )
@@ -46,10 +48,11 @@ def montage_run(fault_plan=None, **config):
         HFetchPrefetcher(cfg),
         seed=SEED,
         fault_plan=fault_plan,
+        telemetry=telemetry,
     ).run()
 
 
-def wrf_run():
+def wrf_run(telemetry=None):
     tiers = tier_spec(
         ram=int(1.25 * GB) // DIVISOR, nvme=2 * GB // DIVISOR, bb=80 * GB // DIVISOR
     )
@@ -63,7 +66,11 @@ def wrf_run():
     )
     cfg = HFetchConfig(engine_interval=0.25, segment_size=1 * MB, lookahead_depth=4)
     return WorkflowRunner(
-        build_cluster(RANKS, tiers, divisor=DIVISOR), workload, HFetchPrefetcher(cfg), seed=SEED
+        build_cluster(RANKS, tiers, divisor=DIVISOR),
+        workload,
+        HFetchPrefetcher(cfg),
+        seed=SEED,
+        telemetry=telemetry,
     ).run()
 
 
@@ -137,3 +144,12 @@ def fields(result) -> dict:
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_result_matches_the_pin(name):
     assert fields(RUNS[name]()) == PINNED[name]
+
+
+@pytest.mark.parametrize("diagnosis", [False, True], ids=["telemetry", "diagnosis"])
+@pytest.mark.parametrize("name", ["montage", "wrf"])
+def test_pin_holds_with_telemetry_on(name, diagnosis):
+    telemetry = Telemetry(sample_interval=0.1, diagnosis=diagnosis)
+    result = RUNS[name](telemetry=telemetry)
+    assert fields(result) == PINNED[name]
+    assert ("diagnosis" in result.extra) == diagnosis
