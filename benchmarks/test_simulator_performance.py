@@ -11,7 +11,7 @@ from repro.core.config import HFetchConfig
 from repro.events.types import EventType, FileEvent
 from repro.sim.core import Environment
 from repro.sim.pipes import BandwidthPipe
-from repro.sim.resources import Resource
+from repro.sim.resources import Resource, Store
 from repro.storage.files import FileSystemModel
 
 MB = 1 << 20
@@ -50,6 +50,50 @@ def test_contended_resource_throughput(benchmark):
 
         for _ in range(200):
             env.process(body(env))
+        env.run()
+
+    benchmark(run)
+
+
+def test_store_offer_to_waiting_get_throughput(benchmark):
+    """10k Store offer → waiting-get hand-offs (the event queue's path
+    when the monitor's daemons keep up)."""
+
+    def run():
+        env = Environment()
+        store = Store(env)
+
+        def consumer(env):
+            for _ in range(10_000):
+                yield store.get()
+
+        def producer(env):
+            for i in range(10_000):
+                yield env.timeout(1e-4)
+                store.offer(i)
+
+        env.process(consumer(env))
+        env.process(producer(env))
+        env.run()
+
+    benchmark(run)
+
+
+def test_uncontended_resource_throughput(benchmark):
+    """10k uncontended request/release cycles (the auditor lock's path
+    when no other daemon holds it)."""
+
+    def run():
+        env = Environment()
+        res = Resource(env, capacity=1)
+
+        def body(env):
+            for _ in range(10_000):
+                req = res.request()
+                yield req
+                res.release(req)
+
+        env.process(body(env))
         env.run()
 
     benchmark(run)

@@ -31,6 +31,11 @@ from repro.storage.segments import SegmentKey
 
 __all__ = ["FileSegmentAuditor"]
 
+_READ = EventType.READ
+_WRITE = EventType.WRITE
+# ``SegmentKey(fid, i)`` without the generated ``__new__``'s extra frame
+_tuple_new = tuple.__new__
+
 
 class FileSegmentAuditor:
     """Segment statistics, mappings and epochs, backed by the DHM."""
@@ -68,6 +73,10 @@ class FileSegmentAuditor:
         self._home_node: dict[SegmentKey, int] = {}
         # last content version seen per file (the stat-on-open check)
         self._seen_version: dict[str, int] = {}
+        # fold geometry per file: (file, segment_size, last_index,
+        # last_nbytes), valid while the file system still holds that very
+        # record (a removed or re-created file fails the identity check)
+        self._geometry: dict[str, tuple] = {}
         # listeners told how many score updates each fold made (the
         # engine's count trigger)
         self._update_listeners: list[Callable[[int], None]] = []
@@ -191,29 +200,29 @@ class FileSegmentAuditor:
         call.  Update listeners are then called once with the number of
         score updates the call made.
 
+        Since the daemons call it once per event, the fixed cost of a
+        call is kept small: a file's segment geometry is kept across
+        calls (see ``_geometry``) and only the state the read path uses
+        is bound up front.
+
         Returns the number of events folded.
         """
-        fs = self.fs
-        config = self.config
+        lookup = self.fs.lookup
+        geometry = self._geometry
         stats_map = self.stats_map
         nshards = stats_map.shards
         shard_of = stats_map.shard_of
         local_shard = stats_map.local_shard
         wal = stats_map.wal
+        config = self.config
         dirty = self._dirty
         dirty_cap = config.dirty_vector_capacity
         max_history = config.max_history
         last_segment = self._last_segment
         home_node = self._home_node
-        file_keys = self._file_keys
         file_streams = self._file_streams
-        READ = EventType.READ
-        WRITE = EventType.WRITE
         flows = self._flows
-        tel_env = self._tel_env
         fold_mark = self._fold_mark
-        # file_id -> (file, segment_size, last_index, last_nbytes) | None
-        files: dict[str, Optional[tuple]] = {}
         processed = 0
         score_updates = 0
         dirty_dropped = 0
@@ -225,37 +234,39 @@ class FileSegmentAuditor:
         for event in events:
             processed += 1
             etype = event.etype
-            if etype is READ:
+            if etype is _READ:
                 fid = event.file_id
-                info = files.get(fid, False)
-                if info is False:
-                    if fs.exists(fid):
-                        f = fs.get(fid)
-                        last_index = f.num_segments - 1
-                        info = (
-                            f,
-                            f.segment_size,
-                            last_index,
-                            f.segment_bytes(SegmentKey(fid, last_index))
-                            if last_index >= 0
-                            else 0,
-                        )
-                    else:
-                        info = None
-                    files[fid] = info
-                if info is None:
+                f = lookup(fid)
+                if f is None:
                     continue
-                f, seg_size, last_index, last_nbytes = info
+                info = geometry.get(fid)
+                if info is None or info[0] is not f:
+                    last_index = f.num_segments - 1
+                    info = geometry[fid] = (
+                        f,
+                        f.segment_size,
+                        last_index,
+                        f.segment_bytes(SegmentKey(fid, last_index))
+                        if last_index >= 0
+                        else 0,
+                    )
+                _, seg_size, last_index, last_nbytes = info
                 first, last = f.segment_span(event.offset, event.size)
                 if last < first:
                     continue
                 stream = (fid, event.pid)
                 prev = last_segment.get(stream)
+                if prev is None:
+                    # a new stream of this file (a known one is indexed)
+                    fstreams = file_streams.get(fid)
+                    if fstreams is None:
+                        file_streams[fid] = fstreams = {}
+                    fstreams[stream] = None
                 when = event.timestamp
                 node = event.node
                 node_shard = node % nshards
                 for index in range(first, last + 1):
-                    key = SegmentKey(fid, index)
+                    key = _tuple_new(SegmentKey, (fid, index))
                     if flows is not None:
                         flows[key] = event.eid
                     sid = 0 if nshards == 1 else shard_of(key)
@@ -268,9 +279,9 @@ class FileSegmentAuditor:
                             max_history=max_history,
                         )
                         shard[key] = stats
-                        fkeys = file_keys.get(fid)
+                        fkeys = self._file_keys.get(fid)
                         if fkeys is None:
-                            file_keys[fid] = fkeys = {}
+                            self._file_keys[fid] = fkeys = {}
                         fkeys[key] = None
                     stats.record(when, prev)
                     n_updates += 1
@@ -299,7 +310,7 @@ class FileSegmentAuditor:
                                 wal.log_put(prev, prev_stats)
                     if key not in home_node:
                         home_node[key] = node
-                    if key in dirty or len(dirty) < dirty_cap:
+                    if len(dirty) < dirty_cap or key in dirty:
                         dirty[key] = None
                     else:
                         # bounded vector: the placement hint is dropped (the
@@ -309,13 +320,9 @@ class FileSegmentAuditor:
                     score_updates += 1
                     prev = key
                 last_segment[stream] = prev
-                fstreams = file_streams.get(fid)
-                if fstreams is None:
-                    file_streams[fid] = fstreams = {}
-                fstreams[stream] = None
                 if fold_mark is not None:
-                    fold_mark((tel_env.now, event.eid, last - first + 1))
-            elif etype is WRITE:
+                    fold_mark((self._tel_env.now, event.eid, last - first + 1))
+            elif etype is _WRITE:
                 self._on_write(event)
             # OPEN/CLOSE: epochs are driven by the agent manager (below).
 

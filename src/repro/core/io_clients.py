@@ -159,7 +159,7 @@ class IOClientPool:
         if instruction.dst_name not in self._queues:
             raise KeyError(f"no I/O client for tier {instruction.dst_name!r}")
         self.in_flight[instruction.key] = instruction.src_name
-        self._queues[instruction.dst_name].put(instruction)
+        self._queues[instruction.dst_name].offer(instruction)
 
     def serving_tier_name(self, key: SegmentKey) -> Optional[str]:
         """Tier that can serve ``key`` right now, accounting for moves.

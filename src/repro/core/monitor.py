@@ -111,35 +111,48 @@ class HardwareMonitor:
             if tel is not None
             else None
         )
+        # bound once: the loop runs once per queued event
+        env = self.env
+        timeout = env.timeout
+        queue = self.queue
+        pop = queue.pop
+        lock = self._auditor_lock
+        request = lock.request
+        release = lock.release
+        fold = self.auditor.on_events
+        service_time = self.config.event_service_time
+        lock_time = self.config.auditor_lock_time
         try:
             while True:
-                get = self.queue.pop()
+                get = pop()
                 try:
                     event = yield get
                 except Interrupt:
                     # withdraw the pending pop so the orphaned getter
                     # cannot swallow an event pushed after shutdown
-                    self.queue.cancel(get)
+                    queue.cancel(get)
                     raise
-                start = self.env.now
+                start = env.now
                 # per-event processing work on this daemon thread
-                yield self.env.timeout(self.config.event_service_time)
+                yield timeout(service_time)
                 if isinstance(event, FileEvent):
-                    # serialised hand-off to the auditor's shared state
-                    req = self._auditor_lock.request()
-                    yield req
+                    # serialised hand-off to the auditor's shared state;
+                    # leaving the section in any way (an interrupt while
+                    # still queued included) gives the request back
+                    req = request()
                     try:
-                        yield self.env.timeout(self.config.auditor_lock_time)
-                        self.auditor.on_events((event,))
+                        yield req
+                        yield timeout(lock_time)
+                        fold((event,))
                         self.file_events += 1
                     finally:
-                        self._auditor_lock.release(req)
+                        release(req)
                 elif isinstance(event, CapacityEvent):
                     self.tier_free[event.tier_name] = event.free_bytes
                     self.capacity_events += 1
-                self.busy_time += self.env.now - start
+                self.busy_time += env.now - start
                 if service_mark is not None:
-                    service_mark((start, self.env.now, getattr(event, "eid", None)))
+                    service_mark((start, env.now, getattr(event, "eid", None)))
         except Interrupt:
             return
 

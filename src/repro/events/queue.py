@@ -94,7 +94,8 @@ class EventQueue:
         return self._push_one(event)
 
     def _push_one(self, event: Any) -> bool:
-        if self._store.level >= self.capacity:
+        store = self._store
+        if len(store.items) >= self.capacity:
             self.dropped += 1
             mark = self._drop_mark
             if mark is not None:
@@ -102,7 +103,7 @@ class EventQueue:
                 if eid is not None:
                     mark((self.env.now, eid))
             return False
-        self._store.put(event)  # guaranteed immediate under the level check
+        store.offer(event)  # never full under the level check
         self.produced += 1
         if self._first_push is None:
             self._first_push = self.env.now

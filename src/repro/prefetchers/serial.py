@@ -99,7 +99,7 @@ class SerialPrefetcher(Prefetcher):
             if self.cache.known(key) or key in self._queued:
                 continue
             self._queued.add(key)
-            self._queue.put((pid, key))
+            self._queue.offer((pid, key))
 
     # -- worker -----------------------------------------------------------------------
     def _claim(self, pid: int, key: SegmentKey) -> int:

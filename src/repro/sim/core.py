@@ -13,7 +13,6 @@ policy (storage tiers, prefetchers, workloads) lives in higher layers.
 
 from __future__ import annotations
 
-import heapq
 import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
@@ -425,19 +424,32 @@ class Environment:
     # -- scheduling & running --------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
         self._eid += 1
-        heapq.heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now + delay, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advance the clock to it)."""
-        if not self._queue:
+        """Process exactly one event (advance the clock to it).
+
+        Fired timeouts are recycled as :meth:`run` recycles them: drain
+        loops step through many events one call at a time.
+        """
+        queue = self._queue
+        if not queue:
             raise SimulationError("step() on an empty schedule")
-        when, _prio, _eid, event = heapq.heappop(self._queue)
+        when, _prio, _eid, event = heappop(queue)
         self._now = when
         event._run_callbacks()
+        if (
+            event.__class__ is Timeout
+            and _getrefcount is not None
+            and _getrefcount(event) == _SOLO_REFS
+            and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
+        ):
+            event.callbacks = []
+            self._timeout_pool.append(event)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Optional
+from heapq import heappush
+from typing import Any
 
-from repro.sim.core import Environment, Event, SimulationError
+from repro.sim.core import NORMAL, Environment, Event, SimulationError
 
 __all__ = [
     "PreemptionError",
@@ -36,13 +37,26 @@ class PreemptionError(Exception):
 
 
 class _Request(Event):
-    """Event granted when the resource has a free slot."""
+    """Event granted when the resource has a free slot.
 
-    __slots__ = ("resource",)
+    Construction is flattened like :class:`~repro.sim.core.Timeout`'s
+    (no ``super().__init__`` call); ``t0`` keeps the request time so a
+    queued request's wait is known when it is granted.
+    """
+
+    __slots__ = ("resource", "t0")
 
     def __init__(self, resource: "Resource"):
-        super().__init__(resource.env)
+        env = resource.env
+        self.env = env
+        self.callbacks = []
+        self._value = None
+        self._ok = True
+        self._triggered = False
+        self._processed = False
+        self._defused = False
         self.resource = resource
+        self.t0 = env._now
 
     # Support ``with res.request() as req: yield req``
     def __enter__(self) -> "_Request":
@@ -65,7 +79,6 @@ class Resource:
         # instrumentation
         self.total_requests = 0
         self.total_wait_time = 0.0
-        self._request_times: dict[int, float] = {}
 
     # -- public API ------------------------------------------------------
     @property
@@ -82,9 +95,16 @@ class Resource:
         """Ask for a slot; yields (fires) once granted."""
         req = _Request(self)
         self.total_requests += 1
-        self._request_times[id(req)] = self.env.now
-        if len(self.users) < self.capacity:
-            self._grant(req)
+        users = self.users
+        if len(users) < self.capacity:
+            # uncontended: granted now with no wait to account, by
+            # ``req.succeed(req)`` inlined (now, normal priority, next eid)
+            users.append(req)
+            req._triggered = True
+            req._value = req
+            env = self.env
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (env._now, NORMAL, eid, req))
         else:
             self.queue.append(req)
         return req
@@ -99,15 +119,14 @@ class Resource:
                 self.queue.remove(request)
             except ValueError:
                 pass
-            self._request_times.pop(id(request), None)
             return
         self._dispatch()
 
     # -- internals -------------------------------------------------------
     def _grant(self, req: _Request) -> None:
+        """Grant a queued request, accounting how long it waited."""
         self.users.append(req)
-        t0 = self._request_times.pop(id(req), self.env.now)
-        self.total_wait_time += self.env.now - t0
+        self.total_wait_time += self.env._now - req.t0
         req.succeed(req)
 
     def _dispatch(self) -> None:
@@ -122,7 +141,7 @@ class _PriorityRequest(_Request):
     __slots__ = ("priority", "seq")
 
     def __init__(self, resource: "PriorityResource", priority: float, seq: int):
-        super().__init__(resource)
+        _Request.__init__(self, resource)
         self.priority = priority
         self.seq = seq
 
@@ -146,9 +165,14 @@ class PriorityResource(Resource):
         self._seq += 1
         req = _PriorityRequest(self, priority, self._seq)
         self.total_requests += 1
-        self._request_times[id(req)] = self.env.now
-        if len(self.users) < self.capacity:
-            self._grant(req)
+        users = self.users
+        if len(users) < self.capacity:
+            users.append(req)
+            req._triggered = True
+            req._value = req
+            env = self.env
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (env._now, NORMAL, eid, req))
         else:
             heapq.heappush(self._heap, req)
         return req
@@ -162,7 +186,6 @@ class PriorityResource(Resource):
                 heapq.heapify(self._heap)
             except ValueError:
                 pass
-            self._request_times.pop(id(request), None)
             return
         self._dispatch()
 
@@ -188,7 +211,7 @@ class Store:
 
     ``put`` blocks when the store is full; ``get`` blocks when empty.
     This is the HFetch server's in-memory event queue (paper §III-A.1):
-    inotify producers ``put`` file events, hardware-monitor daemons
+    inotify producers ``offer`` file events, hardware-monitor daemons
     ``get`` them.
     """
 
@@ -217,11 +240,53 @@ class Store:
         self._balance()
         return ev
 
+    def offer(self, item: Any) -> None:
+        """Buffer ``item`` now, without blocking and without a put event.
+
+        The non-blocking form of :meth:`put` for producers that never
+        wait on the put: the item goes straight to the oldest waiting
+        getter, exactly as a put would hand it over, but no put event
+        is scheduled.  Raises :class:`SimulationError` when the store
+        is full or has blocked putters (the item could not be accepted
+        now).
+        """
+        items = self.items
+        if self._putters or len(items) >= self.capacity:
+            raise SimulationError(f"offer to a full store ({len(items)}/{self.capacity})")
+        items.append(item)
+        self.total_put += 1
+        if len(items) > self.max_level:
+            self.max_level = len(items)
+        getters = self._getters
+        if getters:
+            # a waiting getter means the buffer was empty: hand over,
+            # by ``get.succeed(item)`` inlined
+            get = getters.popleft()
+            get._triggered = True
+            get._value = items.popleft()
+            self.total_got += 1
+            env = self.env
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (env._now, NORMAL, eid, get))
+
     def get(self) -> _StoreGet:
         """Ask for the next item; the returned event fires with the item."""
-        ev = _StoreGet(self.env)
-        self._getters.append(ev)
-        self._balance()
+        env = self.env
+        ev = _StoreGet(env)
+        items = self.items
+        if items and not self._getters:
+            # buffered and nobody queued ahead: take it directly, by
+            # ``ev.succeed(item)`` inlined
+            ev._triggered = True
+            ev._value = items.popleft()
+            self.total_got += 1
+            env._eid = eid = env._eid + 1
+            heappush(env._queue, (env._now, NORMAL, eid, ev))
+            if self._putters:
+                self._balance()
+        else:
+            self._getters.append(ev)
+            self._balance()
         return ev
 
     def cancel(self, event: Event) -> bool:

@@ -10,7 +10,7 @@ optimisation is expressed per file region (§III-B).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Optional
 
 from repro.storage.segments import (
     SegmentKey,
@@ -143,6 +143,10 @@ class FileSystemModel:
     def exists(self, file_id: str) -> bool:
         """Whether ``file_id`` is registered."""
         return file_id in self._files
+
+    def lookup(self, file_id: str) -> Optional[SimFile]:
+        """The file record, or ``None`` when ``file_id`` is not registered."""
+        return self._files.get(file_id)
 
     def touch_write(self, file_id: str) -> int:
         """Record a content change; returns the new version."""

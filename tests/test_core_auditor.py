@@ -126,6 +126,21 @@ def test_unknown_file_events_ignored():
     assert aud.score_updates == 0
 
 
+def test_fold_geometry_follows_a_removed_and_recreated_file():
+    """The per-file geometry kept across folds is never served stale."""
+    aud, fs = make_auditor()
+    fs.create("/g", 4 * MB)
+    aud.on_event(read_event(3 * MB, MB, fid="/g"))
+    assert aud.stats_of(SegmentKey("/g", 3)).nbytes == MB
+    fs.remove("/g")
+    aud.on_event(read_event(0, MB, fid="/g"))
+    assert aud.stats_of(SegmentKey("/g", 0)) is None  # gone: ignored
+    fs.create("/g", 2 * MB + MB // 2)
+    aud.on_event(read_event(2 * MB, MB, fid="/g"))
+    # segment 2 is now the short last segment of the new record
+    assert aud.stats_of(SegmentKey("/g", 2)).nbytes == MB // 2
+
+
 def test_batch_score_alignment():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, MB, t=1.0))

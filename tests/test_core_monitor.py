@@ -146,3 +146,31 @@ def test_batched_daemon_charges_per_event_service_time():
     env.run(until=5.0)
     mon.stop()
     assert mon.busy_time == pytest.approx(12 * (0.01 + 0.002))
+
+
+def test_stop_while_queued_for_the_auditor_lock_frees_it():
+    """A daemon interrupted while queued for the auditor lock withdraws
+    its request, so a restarted pool is not blocked behind a dead one."""
+    service, lock_time = 0.01, 0.002
+    env, mon, queue, auditor = make(
+        daemons=4, event_service_time=service, auditor_lock_time=lock_time
+    )
+    mon.start()
+    for i in range(8):
+        queue.push(FileEvent(EventType.READ, "/f", offset=i * MB, size=MB, timestamp=0.0))
+    # one daemon holds the lock, three are queued for it
+    env.run(until=service + lock_time / 2)
+    assert mon._auditor_lock.count == 1 and mon._auditor_lock.queued == 3
+    mon.stop()
+    env.run(until=1.0)
+    assert mon._auditor_lock.count == 0 and mon._auditor_lock.queued == 0
+    # the four events still buffered are folded after the restart too
+    backlog = auditor.events_processed + queue.level
+    mon.start()
+    for i in range(8):
+        queue.push(FileEvent(EventType.READ, "/f", offset=i * MB, size=MB, timestamp=1.0))
+    env.run(until=2.0)
+    assert queue.level == 0
+    assert auditor.events_processed == backlog + 8
+    assert mon._auditor_lock.count == 0
+    mon.stop()

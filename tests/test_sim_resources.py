@@ -243,6 +243,145 @@ def test_store_multiple_consumers_each_get_distinct_items():
     assert sorted(got) == [0, 1, 2]
 
 
+# ------------------------------------------------------ Store fast paths
+def _handoff_log(hand_off):
+    """(time, getter, item) of four getters fed by ``hand_off(store, item)``
+    at mixed times, some items arriving before any getter waits."""
+    env = Environment()
+    st = Store(env)
+    log = []
+
+    def getter(env, name, delay):
+        yield env.timeout(delay)
+        for _ in range(2):
+            item = yield st.get()
+            log.append((env.now, name, item))
+            yield env.timeout(0.5)
+
+    def producer(env):
+        for i in range(8):
+            hand_off(st, i)
+            yield env.timeout(0.25 if i % 3 else 0.0)
+
+    for name, delay in (("a", 0.0), ("b", 0.0), ("c", 0.1), ("d", 1.0)):
+        env.process(getter(env, name, delay))
+    env.process(producer(env))
+    env.run()
+    return log, st.total_put, st.total_got, st.max_level
+
+
+def test_store_offer_hands_over_like_put():
+    assert _handoff_log(Store.offer) == _handoff_log(Store.put)
+
+
+def test_store_offer_wakes_the_oldest_waiting_getter_now():
+    env = Environment()
+    st = Store(env)
+    got = []
+
+    def getter(env, name):
+        item = yield st.get()
+        got.append((env.now, name, item))
+
+    for name in ("first", "second"):
+        env.process(getter(env, name))
+    env.run()  # both getters now wait
+
+    def producer(env):
+        yield env.timeout(2.0)
+        st.offer("x")
+        st.offer("y")
+
+    env.process(producer(env))
+    env.run()
+    assert got == [(2.0, "first", "x"), (2.0, "second", "y")]
+    assert st.level == 0 and st.max_level == 1
+
+
+def test_store_offer_raises_on_a_full_store():
+    env = Environment()
+    st = Store(env, capacity=2)
+    st.offer("a")
+    st.offer("b")
+    with pytest.raises(SimulationError):
+        st.offer("c")
+    assert list(st.items) == ["a", "b"] and st.total_put == 2
+
+
+def test_store_offer_raises_behind_a_blocked_putter():
+    env = Environment()
+    st = Store(env, capacity=1)
+    st.offer("a")
+    blocked = st.put("b")
+    assert not blocked.triggered
+    st.get()  # frees the slot for the blocked putter, not for an offer
+    assert blocked.triggered and list(st.items) == ["b"]
+    with pytest.raises(SimulationError):
+        st.offer("c")
+
+
+def test_store_get_on_a_buffered_store_is_fifo():
+    env = Environment()
+    st = Store(env)
+    for i in range(5):
+        st.offer(i)
+    gets = [st.get() for _ in range(5)]
+    assert all(g.triggered for g in gets) and st.level == 0
+    env.run()
+    assert [g.value for g in gets] == [0, 1, 2, 3, 4]
+    assert st.total_got == 5
+
+
+def test_store_get_from_a_full_store_admits_the_blocked_putter():
+    env = Environment()
+    st = Store(env, capacity=1)
+    st.offer("a")
+    put = st.put("b")
+    get = st.get()
+    env.run()
+    assert get.value == "a" and put.processed and list(st.items) == ["b"]
+
+
+# ------------------------------------------------- Resource wait accounting
+@pytest.mark.parametrize("cls", [Resource, PriorityResource])
+def test_resource_wait_accounting_over_mixed_requests(cls):
+    """Uncontended grants add no wait; queued grants add their exact
+    wait; a cancelled queued request adds none."""
+    env = Environment()
+    res = cls(env, capacity=2)
+    held = {}
+
+    def at(t, fn):
+        def body(env):
+            yield env.timeout(t)
+            fn()
+
+        env.process(body(env))
+
+    def ask(name):
+        held[name] = res.request()
+
+    def give_back(name):
+        res.release(held[name])
+
+    at(0.0, lambda: ask("a"))  # uncontended
+    at(0.5, lambda: ask("b"))  # uncontended
+    at(1.0, lambda: ask("c"))  # queued
+    at(1.5, lambda: ask("d"))  # queued, cancelled at 2.0
+    at(1.75, lambda: ask("e"))  # queued
+    at(2.0, lambda: give_back("d"))
+    at(3.0, lambda: give_back("a"))  # c waited 2.0
+    at(4.25, lambda: give_back("b"))  # e waited 2.5
+    at(5.0, lambda: give_back("c"))
+    at(5.5, lambda: ask("f"))  # uncontended
+    env.run()
+    assert res.total_requests == 6
+    assert res.total_wait_time == 2.0 + 2.5
+    assert not held["d"].triggered
+    assert [held[n].processed for n in "abcef"] == [True] * 5
+    assert res.count == 2 and res.queued == 0
+
+
 # ----------------------------------------------------------------- Container
 def test_container_put_get_levels():
     env = Environment()
