@@ -1,271 +1,232 @@
 #!/usr/bin/env python
-"""Statistical regression gate: current build vs committed baselines.
+"""Record perfbench into a BENCH file, and gate the build against the newest one.
 
-Runs a small set of fixed, seeded gate workloads and compares the
-result against the ``regression_gate`` block embedded in the committed
+Both modes drive ``perfbench/run.py`` (the repository benchmark) for
+every workload ``BENCHMARK.json`` lists, at seed 2020.
+
+``--update --label X`` writes a ``perfbench`` block to ``BENCH_X.json``:
+for each workload, the result line of ``run.py --trace 0`` and of
+``--trace 1`` (each for ``BENCHMARK.json``'s ``run_seconds``), and the
+sha256 of one seeded run's fingerprint (every ``RunResult`` field but
+``extra``; the event-conservation tuple on ``events``) with the
+operations that run attempted.  It refuses to record if any run is
+incorrect or any operation failed.
+
+``--check`` runs each workload with ``--trace 0 --seconds 0``
+(perfbench's minimum of three runs) plus one fingerprint run, and
+compares them with the newest ``perfbench`` block among the committed
 ``BENCH_*.json`` files:
 
-* **hit ratio** — deterministic given the seed, so the gate is tight:
-  the current ratio may not fall more than ``--hit-tolerance`` (default
-  0.02, one-sided) below the recorded baseline.  Improvements pass.
-* **wall clock** — noisy and machine dependent, so the recorded mean is
-  first rescaled by the ratio of a CPU-bound calibration loop timed on
-  both machines, then compared with a generous ``--wall-tolerance``
-  (default +50%).  Only slowdowns beyond the calibrated tolerance fail.
-* **read counts** — must match exactly; a mismatch means the gate
-  workload itself changed and the baseline must be re-recorded.
+* the fingerprint digest is exact;
+* the operations attempted per run are exact and none failed;
+* ``host_us_per_read`` (at perfbench's reference speed) is at most the
+  baseline's times 1 + the ``bound`` ``BENCHMARK.json`` gives it.
+
+When ``host_us_per_read`` fails, the gate traces that workload once and
+prints each layer's share of wall time next to the baseline's before it
+exits non-zero.
 
 Usage::
 
-    python benchmarks/compare_bench.py --update --label PR4   # record
-    python benchmarks/compare_bench.py --check                # gate (CI)
-
-``--check`` exits non-zero on any regression; baselines without a
-``regression_gate`` block are skipped.
+    python benchmarks/compare_bench.py --update --label PR12   # record
+    python benchmarks/compare_bench.py --check                 # gate (CI)
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
+import hashlib
 import json
-import statistics
+import os
+import platform
+import subprocess
 import sys
-import time
+from datetime import datetime, timezone
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-HIT_RATIO_TOLERANCE = 0.02
-WALL_CLOCK_TOLERANCE = 0.50
-REPEATS = 3
-GATE_SEED = 2020
-
-MB = 1 << 20
+SPEC = ROOT / "BENCHMARK.json"
+SEED = 2020
+GATED = "host_us_per_read"
 
 
-def calibrate() -> float:
-    """Seconds for a fixed CPU-bound loop: the machine-speed scalar.
-
-    Recorded alongside the baseline; at check time the baseline's
-    wall-clock numbers are rescaled by ``now / recorded`` so a slower
-    (or faster) CI box doesn't trip (or mask) the wall-clock gate.
-    Median of three runs discards scheduler hiccups.
-    """
-    def once() -> float:
-        gc.collect()
-        start = time.perf_counter()
-        acc = 0
-        for i in range(2_000_000):
-            acc += i * i
-        return time.perf_counter() - start
-
-    return statistics.median(once() for _ in range(3))
+def load_spec(path: Path = SPEC) -> dict:
+    return json.loads(Path(path).read_text())
 
 
-def _run(workload, config=None):
-    from repro import (
-        ClusterSpec,
-        HFetchConfig,
-        HFetchPrefetcher,
-        SimulatedCluster,
-        WorkflowRunner,
-    )
-    from repro.runtime.cluster import TierSpec
-    from repro.storage.devices import BURST_BUFFER, DRAM, NVME
-
-    cluster = SimulatedCluster(
-        ClusterSpec(
-            tiers=(
-                TierSpec(DRAM, 16 * MB),
-                TierSpec(NVME, 32 * MB),
-                TierSpec(BURST_BUFFER, 256 * MB),
-            )
-        ).scaled_for(workload.num_processes)
-    )
-    runner = WorkflowRunner(
-        cluster,
-        workload,
-        HFetchPrefetcher(
-            config
-            if config is not None
-            else HFetchConfig(engine_interval=0.05, engine_update_threshold=20)
-        ),
-        seed=GATE_SEED,
-    )
-    gc.collect()
-    start = time.perf_counter()
-    result = runner.run()
-    wall = time.perf_counter() - start
-    return wall, result
+def host_bound(spec: dict) -> float:
+    """The fractional bound ``BENCHMARK.json`` gives ``host_us_per_read``."""
+    return next(m["bound"] for m in spec["end_to_end"] if m["name"] == GATED)
 
 
-def gate_workloads() -> dict:
-    """Name -> workload builder for the fixed gate set."""
-    from repro.workloads.montage import montage_workload
-    from repro.workloads.synthetic import partitioned_sequential_workload
+def perfbench(workload: str, trace: int, seconds: float) -> dict:
+    """The result line of one ``perfbench/run.py`` invocation."""
+    cmd = [
+        sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+        "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"perfbench {workload} --trace {trace} failed:\n{proc.stdout}{proc.stderr}")
+    return json.loads(proc.stdout.splitlines()[-1])
 
+
+def fingerprint(workload: str) -> dict:
+    """Digest of one seeded run's fingerprint, and the operations it attempted."""
+    for path in (str(ROOT / "src"), str(ROOT / "perfbench")):
+        if path not in sys.path:
+            sys.path.insert(0, path)
+    import cases
+
+    outcome = cases.build(workload, SEED).run()
     return {
-        "synthetic": lambda: partitioned_sequential_workload(
-            processes=16, steps=4, bytes_per_proc_step=2 * MB, compute_time=0.05
-        ),
-        "montage": lambda: montage_workload(
-            processes=8, bytes_per_step=4 * MB, compute_time=0.05
-        ),
+        "sha256": hashlib.sha256(repr(outcome.fingerprint).encode()).hexdigest(),
+        "attempted": outcome.attempted,
+        "failed": outcome.failed,
     }
 
 
-def measure(repeats: int = REPEATS) -> dict:
-    """Run every gate workload ``repeats`` times; summarise."""
-    sys.path.insert(0, str(ROOT / "src"))
-    out: dict = {}
-    for name, build in gate_workloads().items():
-        walls: list[float] = []
-        hit_ratio = None
-        reads = None
-        for _ in range(repeats):
-            wall, result = _run(build())
-            walls.append(wall)
-            if hit_ratio is not None and result.hit_ratio != hit_ratio:
-                raise RuntimeError(
-                    f"gate workload {name!r} is not deterministic: "
-                    f"{result.hit_ratio} != {hit_ratio}"
-                )
-            hit_ratio = result.hit_ratio
-            reads = result.hits + result.misses
-        out[name] = {
-            "hit_ratio": hit_ratio,
-            "reads": reads,
-            "wall_s_mean": statistics.mean(walls),
-            "wall_s": walls,
-        }
-    return out
-
-
-def cmd_update(label: str, repeats: int) -> int:
-    target = ROOT / f"BENCH_{label}.json"
-    block = {
-        "seed": GATE_SEED,
-        "repeats": repeats,
-        "calibration_s": calibrate(),
-        "tolerances": {
-            "hit_ratio": HIT_RATIO_TOLERANCE,
-            "wall_clock_frac": WALL_CLOCK_TOLERANCE,
-        },
-        "workloads": measure(repeats),
-    }
-    data = {}
-    if target.exists():
+def newest_baseline(root: Path = ROOT) -> tuple[str, dict] | None:
+    """``(file name, block)`` of the newest ``perfbench`` block in ``BENCH_*.json``."""
+    blocks = []
+    for path in root.glob("BENCH_*.json"):
         try:
-            data = json.loads(target.read_text())
+            block = json.loads(path.read_text()).get("perfbench")
         except (json.JSONDecodeError, OSError):
-            pass
-    data["regression_gate"] = block
-    target.write_text(json.dumps(data, indent=2))
-    print(f"recorded regression gate in {target.name}:")
-    for name, w in block["workloads"].items():
-        print(
-            f"  {name}: hit_ratio={w['hit_ratio']:.4f}  reads={w['reads']}"
-            f"  wall mean={w['wall_s_mean'] * 1e3:.1f} ms"
-        )
-    print(f"  calibration: {block['calibration_s'] * 1e3:.1f} ms")
+            continue
+        if block:
+            blocks.append((block["recorded_utc"], path.name, block))
+    if not blocks:
+        return None
+    _when, name, block = max(blocks, key=lambda b: b[:2])
+    return name, block
+
+
+def host_us(record: dict) -> float:
+    return record["trace0"]["metrics"][GATED]["value"]
+
+
+def compare(baseline: dict, current: dict, bound: float) -> list[tuple[str, str, str]]:
+    """``(workload, check, message)`` for every check ``current`` fails.
+
+    Both map workload -> ``{"fingerprint": ..., "trace0": result line}``
+    as :func:`fingerprint` and :func:`perfbench` return them; ``check`` is
+    ``"fingerprint"``, ``"operations"`` or ``GATED``.
+    """
+    failures = []
+    for name, cur in current.items():
+        base = baseline.get(name)
+        if base is None:
+            failures.append((name, "fingerprint", "no baseline recorded"))
+            continue
+        was, now = base["fingerprint"], cur["fingerprint"]
+        if now["sha256"] != was["sha256"]:
+            failures.append((name, "fingerprint", "RunResult fingerprint changed"))
+        if now["attempted"] != was["attempted"]:
+            failures.append((
+                name, "operations",
+                f"{now['attempted']} operations per run, baseline {was['attempted']}",
+            ))
+        failed = now["failed"] + cur["trace0"]["failed"]
+        if failed or not cur["trace0"]["correct"]:
+            failures.append((name, "operations", f"incorrect run or {failed} failed operations"))
+        limit = host_us(base) * (1.0 + bound)
+        if host_us(cur) > limit:
+            failures.append((
+                name, GATED, f"{host_us(cur):.2f} us/read over the limit {limit:.2f}",
+            ))
+    return failures
+
+
+def explain(workload: str, baseline: dict) -> None:
+    """Trace ``workload`` once; print each layer's share next to the baseline's."""
+    now = perfbench(workload, trace=1, seconds=0)["metrics"]
+    was = baseline["trace1"]["metrics"]
+    print(f"\n{workload}: share of wall time per layer, baseline -> now")
+    for key in sorted(k for k in was if k.startswith("share.")):
+        print(f"  {key:<18} {was[key]['value']:6.3f} -> {now[key]['value']:6.3f}")
+
+
+def cmd_update(label: str, spec: dict) -> int:
+    seconds = spec["run_seconds"]
+    workloads = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        workloads[name] = record = {
+            "fingerprint": fingerprint(name),
+            "trace0": perfbench(name, 0, seconds),
+            "trace1": perfbench(name, 1, seconds),
+        }
+        print(f"  {name}: {host_us(record):.2f} us/read  {record['fingerprint']['sha256'][:12]}",
+              flush=True)
+    bad = [
+        name for name, r in workloads.items()
+        if r["fingerprint"]["failed"]
+        or any(r[t]["failed"] or not r[t]["correct"] for t in ("trace0", "trace1"))
+    ]
+    if bad:
+        print(f"refusing to record: incorrect or failed runs on {', '.join(bad)}",
+              file=sys.stderr)
+        return 1
+    target = ROOT / f"BENCH_{label}.json"
+    data = json.loads(target.read_text()) if target.exists() else {}
+    data["perfbench"] = {
+        "recorded_utc": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        "seed": SEED,
+        "run_seconds": seconds,
+        "machine": f"{os.cpu_count()} cpus, Python {platform.python_version()}",
+        "workloads": workloads,
+    }
+    target.write_text(json.dumps(data, indent=2) + "\n")
+    print(f"recorded perfbench baseline in {target.name}")
     return 0
 
 
-def cmd_check(repeats: int, hit_tol: float, wall_tol: float) -> int:
-    baselines = []
-    for path in sorted(ROOT.glob("BENCH_*.json")):
-        try:
-            gate = json.loads(path.read_text()).get("regression_gate")
-        except (json.JSONDecodeError, OSError):
-            continue
-        if gate:
-            baselines.append((path.name, gate))
-    if not baselines:
-        print("no BENCH_*.json with a regression_gate block; nothing to check")
-        return 0
-
-    cal_now = calibrate()
-    current = measure(repeats)
-    failures = []
-    for bench_name, gate in baselines:
-        scale = cal_now / gate["calibration_s"] if gate.get("calibration_s") else 1.0
-        h_tol = hit_tol if hit_tol is not None else (
-            gate.get("tolerances", {}).get("hit_ratio", HIT_RATIO_TOLERANCE)
-        )
-        w_tol = wall_tol if wall_tol is not None else (
-            gate.get("tolerances", {}).get("wall_clock_frac", WALL_CLOCK_TOLERANCE)
-        )
-        print(f"\n=== vs {bench_name} (machine scale {scale:.2f}x) ===")
-        for name, base in gate["workloads"].items():
-            cur = current.get(name)
-            if cur is None:
-                print(f"  {name}: gate workload no longer exists — SKIP")
-                continue
-            if cur["reads"] != base["reads"]:
-                failures.append(
-                    f"{bench_name}/{name}: read count changed "
-                    f"{base['reads']} -> {cur['reads']} (re-record the baseline)"
-                )
-                print(f"  {name}: reads {base['reads']} -> {cur['reads']}  FAIL")
-                continue
-            hit_floor = base["hit_ratio"] - h_tol
-            wall_limit = base["wall_s_mean"] * scale * (1.0 + w_tol)
-            hit_ok = cur["hit_ratio"] >= hit_floor
-            wall_ok = cur["wall_s_mean"] <= wall_limit
-            print(
-                f"  {name}: hit {base['hit_ratio']:.4f} -> {cur['hit_ratio']:.4f}"
-                f" (floor {hit_floor:.4f}) {'ok' if hit_ok else 'FAIL'}"
-                f"   wall {base['wall_s_mean'] * 1e3:.1f} ->"
-                f" {cur['wall_s_mean'] * 1e3:.1f} ms"
-                f" (limit {wall_limit * 1e3:.1f}) {'ok' if wall_ok else 'FAIL'}"
-            )
-            if not hit_ok:
-                failures.append(
-                    f"{bench_name}/{name}: hit ratio regressed "
-                    f"{base['hit_ratio']:.4f} -> {cur['hit_ratio']:.4f}"
-                )
-            if not wall_ok:
-                failures.append(
-                    f"{bench_name}/{name}: wall clock regressed "
-                    f"{base['wall_s_mean'] * scale * 1e3:.1f} ->"
-                    f" {cur['wall_s_mean'] * 1e3:.1f} ms (calibrated)"
-                )
-
+def cmd_check(spec: dict) -> int:
+    found = newest_baseline()
+    if found is None:
+        print("no BENCH_*.json holds a perfbench block; record one with --update",
+              file=sys.stderr)
+        return 1
+    bench_name, block = found
+    baseline = block["workloads"]
+    bound = host_bound(spec)
+    print(f"gating against {bench_name} (recorded {block['recorded_utc']}), "
+          f"{GATED} bound +{bound:.0%}")
+    current = {}
+    for w in spec["workloads"]:
+        name = w["name"]
+        current[name] = cur = {"fingerprint": fingerprint(name), "trace0": perfbench(name, 0, 0)}
+        if name in baseline:
+            print(f"  {name}: {host_us(cur):.2f} us/read, "
+                  f"{host_us(cur) / host_us(baseline[name]):.3f}x baseline", flush=True)
+    failures = compare(baseline, current, bound)
+    for name in sorted({name for name, check, _ in failures if check == GATED}):
+        explain(name, baseline[name])
     if failures:
         print("\nREGRESSIONS:", file=sys.stderr)
-        for f in failures:
-            print(f"  {f}", file=sys.stderr)
+        for name, check, message in failures:
+            print(f"  {name} [{check}]: {message}", file=sys.stderr)
         return 1
-    print("\nall regression gates passed")
+    print("all workloads pass: fingerprints, operations and host us/read")
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument(
-        "--update", action="store_true",
-        help="record the current build as the gate baseline",
-    )
-    mode.add_argument(
-        "--check", action="store_true",
-        help="gate the current build against every committed baseline",
-    )
-    parser.add_argument("--label", default="PR4", help="suffix of BENCH_<label>.json")
-    parser.add_argument("--repeats", type=int, default=REPEATS)
-    parser.add_argument(
-        "--hit-tolerance", type=float, default=None,
-        help="override the baseline's one-sided hit-ratio tolerance",
-    )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=None,
-        help="override the baseline's fractional wall-clock tolerance",
-    )
+    mode.add_argument("--update", action="store_true",
+                      help="record perfbench into BENCH_<label>.json")
+    mode.add_argument("--check", action="store_true",
+                      help="gate the build against the newest recorded perfbench block")
+    parser.add_argument("--label", help="suffix of BENCH_<label>.json (with --update)")
     args = parser.parse_args(argv)
+    spec = load_spec()
     if args.update:
-        return cmd_update(args.label, args.repeats)
-    return cmd_check(args.repeats, args.hit_tolerance, args.wall_tolerance)
+        if not args.label:
+            parser.error("--update needs --label")
+        return cmd_update(args.label, spec)
+    return cmd_check(spec)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ Usage::
     python benchmarks/run_benchmarks.py               # writes BENCH_PR1.json
     python benchmarks/run_benchmarks.py --label PR2   # writes BENCH_PR2.json
     python benchmarks/run_benchmarks.py -k kernel     # subset of the suite
-    python benchmarks/run_benchmarks.py --quick       # CI smoke: run once, no timing
     python benchmarks/run_benchmarks.py --label PR3 --telemetry-overhead
 """
 
@@ -169,11 +168,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", default="PR1", help="suffix of BENCH_<label>.json")
     parser.add_argument("-k", default=None, help="pytest -k expression (subset)")
     parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="smoke mode: run each benchmark once, no timing or baseline files",
-    )
-    parser.add_argument(
         "--telemetry-overhead",
         action="store_true",
         help="measure telemetry-on vs telemetry-off wall-clock delta and "
@@ -188,14 +182,6 @@ def main(argv: list[str] | None = None) -> int:
 
     target = ROOT / f"BENCH_{args.label}.json"
 
-    if args.quick:
-        cmd = [sys.executable, "-m", "pytest", SUITE, "-q", "--benchmark-disable"]
-        if args.k:
-            cmd += ["-k", args.k]
-        rc = subprocess.call(cmd, cwd=ROOT, env=env)
-        if rc == 0 and args.telemetry_overhead:
-            rc = run_overhead_measurement(target)
-        return rc
     # preserve any embedded before-measurements across re-runs
     baseline_before = None
     if target.exists():
