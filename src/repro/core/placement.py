@@ -104,8 +104,11 @@ class PlacementEngine:
         auditor.add_update_listener(self._on_score_update)
 
     def bind_telemetry(self, telemetry) -> None:
-        """Record decisions into a live handle's event log and register
-        the ``engine.place`` stream its finalize fills from the log."""
+        """Record decisions into a live handle's event log, register the
+        ``engine.place`` stream its finalize fills from the log, and fold
+        every pass's dirty-vector size into ``engine.dirty_batch`` at the
+        end of the run (the ``engine.pass`` spans stop at the retention
+        cap; the histogram does not)."""
         from repro.telemetry.handle import live
 
         tel = live(telemetry)
@@ -114,6 +117,17 @@ class PlacementEngine:
         self.telemetry = tel
         self._prov = tel.provenance
         tel.tracer.stream("engine.place", "engine", "engine", fields=("tier", "score"))
+        sizes = self._pass_sizes = []
+
+        def _fold_pass_sizes() -> None:
+            if sizes:
+                h = tel.registry.histogram(
+                    "engine.dirty_batch", lo=1.0, growth=2.0, buckets=24
+                )
+                for n in sizes:
+                    h.observe(float(n))
+
+        tel.add_finalizer(_fold_pass_sizes)
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -168,6 +182,7 @@ class PlacementEngine:
         tel = self.telemetry
         pass_span = None
         if tel is not None:
+            self._pass_sizes.append(len(dirty))
             pass_span = tel.tracer.begin(
                 "engine.pass", track="engine", cat="engine", dirty=len(dirty)
             )

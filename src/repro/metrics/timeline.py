@@ -38,8 +38,6 @@ class TierOccupancySampler:
         hierarchy: StorageHierarchy,
         interval: float = 0.05,
         event_queue=None,
-        registry=None,
-        tracer=None,
     ):
         if interval <= 0:
             raise ValueError("sampling interval must be positive")
@@ -47,13 +45,6 @@ class TierOccupancySampler:
         self.hierarchy = hierarchy
         self.interval = interval
         self.event_queue = event_queue
-        #: optional :class:`repro.telemetry.registry.MetricRegistry`; when
-        #: set, every tick also snapshots the registry's gauges, giving
-        #: one shared timeline for occupancy and layer counters
-        self.registry = registry
-        #: optional :class:`repro.telemetry.tracer.SpanTracer`; when set,
-        #: every tick also enforces the tracer's stream retention cap
-        self.tracer = tracer
         self.samples: list[TierSample] = []
         self._proc: Optional[Process] = None
 
@@ -73,7 +64,7 @@ class TierOccupancySampler:
         """
         if self._proc is not None and self._proc.is_alive:
             if not self.samples or self.samples[-1].when < self.env.now:
-                self._sample()
+                self.samples.append(self._snapshot())
             self._proc.interrupt("stop")
         self._proc = None
 
@@ -85,18 +76,10 @@ class TierOccupancySampler:
             queue_level=self.event_queue.level if self.event_queue is not None else 0,
         )
 
-    def _sample(self) -> None:
-        """Take one sample (and mirror it into the metric registry)."""
-        self.samples.append(self._snapshot())
-        if self.registry is not None:
-            self.registry.record_sample(self.env.now)
-        if self.tracer is not None:
-            self.tracer.enforce_caps()
-
     def _loop(self) -> Generator:
         try:
             while True:
-                self._sample()
+                self.samples.append(self._snapshot())
                 yield self.env.timeout(self.interval)
         except Interrupt:
             return

@@ -110,21 +110,9 @@ class WorkflowRunner:
         self.workload.materialize(self.ctx.fs)
         self.prefetcher.attach(self.ctx)
         self.prefetcher.on_workload(self.workload)
-        sampler = None
-        run_span = None
         if tel is not None:
             self._register_run_gauges(tel)
-            if tel.sample_interval is not None:
-                from repro.metrics.timeline import TierOccupancySampler
-
-                sampler = TierOccupancySampler(
-                    env,
-                    self.ctx.hierarchy,
-                    interval=tel.sample_interval,
-                    registry=tel.registry,
-                    tracer=tel.tracer,
-                )
-                sampler.start()
+            tel.start_sampler()
             run_span = tel.tracer.begin(
                 "run",
                 track="runner",
@@ -161,9 +149,8 @@ class WorkflowRunner:
         if self.injector is not None:
             self.injector.stop()
         self.prefetcher.detach()
-        if sampler is not None:
-            sampler.stop()
-        if run_span is not None:
+        if tel is not None:
+            tel.stop_sampler()
             tel.tracer.end(run_span, time_s=end_time - start_time)
 
         ram_peak = self._ram_peak()

@@ -4,9 +4,10 @@ The observability layer of the reproduction.  One
 :class:`~repro.telemetry.handle.Telemetry` handle per run carries
 
 * a :class:`~repro.telemetry.tracer.SpanTracer` keyed to the DES virtual
-  clock — nested spans with attributes and per-fs-event *flow ids*, so a
-  single inotify event is traceable end-to-end: emit → queue dwell →
-  auditor fold → DHM update → placement decision → data movement;
+  clock — spans and marks on per-thread tracks, with attributes and
+  per-fs-event *flow ids*, so a single inotify event is traceable
+  end-to-end: emit → queue dwell → auditor fold → DHM update →
+  placement decision → data movement;
 * a :class:`~repro.telemetry.registry.MetricRegistry` of counters,
   gauges and deterministic log-bucket histograms that every layer
   registers into (queue depth, batch sizes, DHM op costs, per-tier

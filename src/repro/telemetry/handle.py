@@ -31,6 +31,7 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim.core import Interrupt
 from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.tracer import SpanTracer
 
@@ -50,8 +51,8 @@ class Telemetry:
     max_spans:
         Span retention cap (see :class:`~repro.telemetry.tracer.SpanTracer`).
     sample_interval:
-        Virtual-time cadence for the gauge/occupancy sampler the runner
-        starts, or ``None`` for no periodic sampling.
+        Virtual-time cadence of the sampler the runner starts (see
+        :meth:`start_sampler`), or ``None`` for no periodic sampling.
     diagnosis:
         When True, the runner derives the diagnosis report from the
         run's event log (:attr:`provenance`, which every live handle
@@ -88,6 +89,7 @@ class Telemetry:
         # path); run once by :meth:`finalize` at the end of the run
         self._finalizers: list = []
         self._finalized = False
+        self._sampler = None
 
     # -- lifecycle ---------------------------------------------------------
     def bind(self, env: "Environment") -> "Telemetry":
@@ -108,6 +110,34 @@ class Telemetry:
     def bound(self) -> bool:
         """Whether :meth:`bind` has been called."""
         return self._env is not None
+
+    def start_sampler(self) -> None:
+        """Sample the gauges and enforce the retention cap each interval."""
+        if self.sample_interval is not None:
+            # perfbench bins the sampler's wall time under this name
+            self._sampler = self._env.process(self._sample_loop(), name="tier-sampler")
+
+    def _tick(self) -> None:
+        self.registry.record_sample(self._env.now)
+        self.tracer.enforce_caps()
+
+    def _sample_loop(self):
+        try:
+            while True:
+                self._tick()
+                yield self._env.timeout(self.sample_interval)
+        except Interrupt:
+            return
+
+    def stop_sampler(self) -> None:
+        """Stop sampling, flushing a sample at the stop instant so the
+        gauge timeline reaches the end of the run."""
+        if self._sampler is not None:
+            samples = self.registry.samples
+            if not samples or samples[-1][0] < self._env.now:
+                self._tick()
+            self._sampler.interrupt("stop")
+            self._sampler = None
 
     # -- deferred folding --------------------------------------------------
     def add_finalizer(self, fn) -> None:
@@ -139,8 +169,8 @@ class Telemetry:
         ``io.move_done`` come from the event log (a move's ``issued`` time
         is its decision's) and ``dhm.update`` from the ``auditor.fold``
         records; a view keeps what was recorded until the retention cap
-        froze the trace.  ``io.move_latency_s`` (whole log) and
-        ``engine.dirty_batch`` (``engine.pass`` spans) are folded here.
+        froze the trace.  ``io.move_latency_s`` (whole log) is folded
+        here.
         """
         from repro.diagnosis.provenance import EV_DECISION, EV_MOVE_DONE
 
@@ -170,13 +200,6 @@ class Telemetry:
             for v in views.values():
                 v.limit = v.stride * bisect_right(v.buf[0::v.stride], tracer.frozen_at)
             tracer.enforce_caps()
-        passes = tracer.begun("engine.pass")
-        if passes:
-            h = self.registry.histogram(
-                "engine.dirty_batch", lo=1.0, growth=2.0, buckets=24
-            )
-            for sp in passes:
-                h.observe(float(sp.args["dirty"]))
 
     # -- diagnosis ---------------------------------------------------------
     def diagnosis_report(self):
@@ -192,12 +215,6 @@ class Telemetry:
         return self._diagnosis_report
 
     # -- summaries ---------------------------------------------------------
-    def flow_latencies(self, start_name: str, end_name: str) -> list[float]:
-        """Per-flow ``start_name → end_name`` latencies off the live tracer."""
-        if self.tracer is None:
-            return []
-        return list(self.tracer.flow_latencies(start_name, end_name).values())
-
     def headline(self) -> dict:
         """Scalar highlights for ``RunResult.extra`` / verbose rows.
 
@@ -259,7 +276,7 @@ class Telemetry:
         return console_summary(self)
 
     def __repr__(self) -> str:  # pragma: no cover
-        spans = len(self.tracer.spans) if self.tracer is not None else 0
+        spans = len(self.tracer) if self.tracer is not None else 0
         return f"<Telemetry {self.label!r} bound={self.bound} spans={spans} metrics={len(self.registry)}>"
 
 

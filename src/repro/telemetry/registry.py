@@ -3,10 +3,10 @@
 Everything here is deterministic and wall-clock free: counters and
 histograms fold observations made at instrumentation sites; gauges read
 live values (through a callable source or an explicitly set value) when
-the registry is *sampled* at a virtual-time cadence — the
-:class:`~repro.metrics.timeline.TierOccupancySampler` is the canonical
-driver.  Histograms use fixed log-scale buckets so percentile estimates
-are reproducible across runs and machines (no reservoir sampling, no
+the registry is *sampled* at a virtual-time cadence by the telemetry
+handle's sampler (:meth:`~repro.telemetry.handle.Telemetry.start_sampler`).
+Histograms use fixed log-scale buckets so percentile estimates are
+reproducible across runs and machines (no reservoir sampling, no
 randomisation).
 """
 

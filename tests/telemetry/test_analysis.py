@@ -81,7 +81,7 @@ class TestEmptyTrace:
 class TestSingleEvent:
     def test_single_instant(self):
         def body(env, tracer):
-            tracer.instant("fs.emit", track="inotify", flow=1)
+            tracer.stream("fs.emit", track="inotify").append((env.now, 1))
             yield env.timeout(0)
 
         data, _tracer = build_trace(body)
@@ -112,11 +112,13 @@ class TestSingleEvent:
 class TestFlowQueries:
     def test_latency_measured_first_start_to_first_end_after_it(self):
         def body(env, tracer):
-            tracer.instant("fs.emit", track="inotify", flow=1)
+            emit = tracer.stream("fs.emit", track="inotify").append
+            place = tracer.stream("engine.place", track="engine").append
+            emit((env.now, 1))
             yield env.timeout(0.050)
-            tracer.instant("engine.place", track="engine", flow=1)
+            place((env.now, 1))
             yield env.timeout(0.010)
-            tracer.instant("engine.place", track="engine", flow=1)
+            place((env.now, 1))
 
         data, _tracer = build_trace(body)
         assert flow_latencies(data, "fs.emit", "engine.place") == [
@@ -125,8 +127,8 @@ class TestFlowQueries:
 
     def test_flows_missing_a_stage_are_skipped(self):
         def body(env, tracer):
-            tracer.instant("fs.emit", track="inotify", flow=1)
-            tracer.instant("engine.place", track="engine", flow=2)
+            tracer.stream("fs.emit", track="inotify").append((env.now, 1))
+            tracer.stream("engine.place", track="engine").append((env.now, 2))
             yield env.timeout(0)
 
         data, _tracer = build_trace(body)
@@ -139,10 +141,11 @@ class TestCappedStream:
     def test_dropped_spans_dont_break_analysis(self):
         env = Environment()
         tracer = SpanTracer(env, max_spans=4)
+        emit = tracer.stream("fs.emit", track="inotify").append
 
         def body():
             for i in range(32):
-                tracer.instant("fs.emit", track="inotify", flow=i)
+                emit((env.now, i))
                 tracer.enforce_caps()
                 yield env.timeout(0.001)
 
@@ -159,7 +162,7 @@ class TestCappedStream:
 
     def test_roundtrip_through_file(self, tmp_path):
         def body(env, tracer):
-            tracer.instant("fs.emit", track="inotify", flow=1)
+            tracer.stream("fs.emit", track="inotify").append((env.now, 1))
             yield env.timeout(0)
 
         data, _tracer = build_trace(body)

@@ -24,19 +24,23 @@ from repro.telemetry import (
 
 
 def tiny_trace():
-    """A hand-built two-flow trace: emit → fold → place per flow."""
+    """A hand-built two-flow trace: emit → service → fold → place."""
     env = Environment()
     tracer = SpanTracer(env)
+    emit = tracer.stream("fs.emit", track="inotify").append
+    service = tracer.stream("monitor.service", track="hm-0", kind="span").append
+    fold = tracer.stream("auditor.fold", track="auditor").append
+    place = tracer.stream("engine.place", track="engine", fields=("tier",)).append
 
     def proc():
-        tracer.instant("fs.emit", track="inotify", flow=1)
-        span = tracer.begin("monitor.service", track="hm-0", flow=1)
+        emit((env.now, 1))
+        start = env.now
         yield env.timeout(0.010)
-        tracer.end(span)
-        tracer.instant("auditor.fold", track="auditor", flow=1)
-        tracer.instant("fs.emit", track="inotify", flow=2)
+        service((start, env.now, 1))
+        fold((env.now, 1))
+        emit((env.now, 2))
         yield env.timeout(0.020)
-        tracer.instant("engine.place", track="engine", flow=1, tier="RAM")
+        place((env.now, 1, "RAM"))
 
     env.process(proc())
     env.run()

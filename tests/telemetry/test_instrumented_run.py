@@ -74,7 +74,7 @@ def test_flow_latency_queries(instrumented, tmp_path):
     assert lat and all(d >= 0 for _, d in lat)
     # the live-handle query agrees with the file-based one
     assert sorted(d for _, d in lat) == sorted(
-        tel.flow_latencies("fs.emit", "engine.place")
+        tel.tracer.flow_latencies("fs.emit", "engine.place").values()
     )
 
 

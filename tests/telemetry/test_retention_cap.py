@@ -1,4 +1,5 @@
-"""The tracer's retention cap applies to stream records too.
+"""The tracer's retention cap applies to stream records and to spans
+from ``begin()`` alike.
 
 Instrumented layers cache a stream's bound ``append`` when they bind, so
 the cap trims buffers in place instead of replacing the method.
@@ -31,6 +32,9 @@ def test_cap_trims_streams_whose_append_was_cached():
     append((10.0, 10))  # the cached method still works
     tracer.enforce_caps()
     assert len(tracer) == 3 and tracer.dropped == 8
+    # a span opened once the trace is frozen is counted, not kept
+    tracer.end(tracer.begin("engine.pass", track="engine"))
+    assert len(tracer) == 3 and tracer.dropped == 9
 
 
 def test_uncapped_run_record_count():
@@ -47,6 +51,18 @@ def test_capped_run_drops_stream_records():
     assert all(s.limit is not None for s in tracer._streams)
     assert tracer.dropped > 0
     assert len(tracer) + tracer.dropped == UNCAPPED_RECORDS
+
+
+def test_capped_run_keeps_nothing_after_the_freeze():
+    tel = Telemetry(max_spans=100, sample_interval=0.01)
+    runner, _ = run_hfetch(telemetry=tel)
+    tracer = tel.tracer
+    assert tracer.frozen_at is not None
+    assert all(s.start <= tracer.frozen_at for s in tracer.spans)
+    # the pass histogram still sees every pass, and is created last
+    engine = runner.prefetcher.server.engine
+    assert tel.registry.get("engine.dirty_batch").count == engine.passes
+    assert tel.registry.names()[-1] == "engine.dirty_batch"
 
 
 def test_views_keep_what_was_recorded_before_the_cap():

@@ -1,9 +1,9 @@
-"""SpanTracer: nesting, ordering, flows, instants — under the DES clock."""
+"""SpanTracer: timestamps, ordering, tracks, caps — under the DES clock."""
 
 import pytest
 
 from repro.sim.core import Environment
-from repro.telemetry import SpanTracer
+from repro.telemetry import SpanTracer, chrome_trace
 
 
 def test_spans_take_virtual_timestamps():
@@ -21,33 +21,6 @@ def test_spans_take_virtual_timestamps():
     assert span.start == 0.0
     assert span.end == 1.5
     assert span.duration == 1.5
-    assert span.closed
-
-
-def test_nesting_depth_per_track():
-    env = Environment()
-    tracer = SpanTracer(env)
-    outer = tracer.begin("outer", track="a")
-    inner = tracer.begin("inner", track="a")
-    other = tracer.begin("elsewhere", track="b")
-    assert outer.depth == 0
-    assert inner.depth == 1
-    assert other.depth == 0  # depth is per track
-    assert tracer.current("a") is inner
-    tracer.end(inner)
-    assert tracer.current("a") is outer
-    tracer.end(outer)
-    tracer.end(other)
-    assert tracer.open_spans() == []
-
-
-def test_span_contextmanager_closes_on_exception():
-    env = Environment()
-    tracer = SpanTracer(env)
-    with pytest.raises(RuntimeError):
-        with tracer.span("guarded", track="t"):
-            raise RuntimeError("boom")
-    assert tracer.spans[0].closed
 
 
 def test_double_end_raises():
@@ -70,64 +43,68 @@ def test_end_merges_args():
 def test_instants_are_zero_duration():
     env = Environment()
     tracer = SpanTracer(env)
+    mark = tracer.stream("mark", track="t").append
 
     def proc():
         yield env.timeout(0.25)
-        tracer.instant("mark", track="t", flow=7)
+        mark((env.now, 7))
 
     env.process(proc())
     env.run()
-    (mark,) = tracer.spans
-    assert mark.phase == "i"
-    assert mark.start == mark.end == 0.25
-    assert mark.duration == 0.0
-    assert mark.flow == 7
+    (span,) = tracer.spans
+    assert span.phase == "i"
+    assert span.start == span.end == 0.25
+    assert span.duration == 0.0
+    assert span.flow == 7
 
 
 def test_track_ids_assigned_in_first_use_order():
     env = Environment()
     tracer = SpanTracer(env)
-    tracer.instant("x", track="zulu")
-    tracer.instant("x", track="alpha")
-    tracer.instant("x", track="zulu")
+    tracer.stream("x", track="zulu")
+    tracer.begin("y", track="alpha")
+    tracer.stream("x", track="zulu")
+    tracer.begin("y", track="zulu")
     assert tracer.tracks == {"zulu": 0, "alpha": 1}
 
 
-def test_flow_grouping_sorted_by_start():
+def test_equal_starts_put_begin_spans_first_then_streams_in_registration_order():
     env = Environment()
     tracer = SpanTracer(env)
-
-    def proc():
-        tracer.instant("emit", track="a", flow=1)
-        yield env.timeout(0.1)
-        tracer.instant("fold", track="b", flow=1)
-        tracer.instant("emit", track="a", flow=2)
-        yield env.timeout(0.1)
-        tracer.instant("place", track="c", flow=1)
-
-    env.process(proc())
-    env.run()
-    flows = tracer.flows()
-    assert set(flows) == {1, 2}
-    assert [s.name for s in flows[1]] == ["emit", "fold", "place"]
-    assert [s.start for s in flows[1]] == [0.0, 0.1, 0.2]
-    assert tracer.by_flow(2)[0].name == "emit"
+    first = tracer.stream("first", track="s1").append
+    second = tracer.stream("second", track="s2").append
+    # appended in the opposite order to their registration
+    second((0.0, None))
+    second((0.0, None))
+    first((0.0, None))
+    run = tracer.begin("run", track="runner")
+    tracer.end(run)
+    assert [s.name for s in tracer.spans] == ["run", "first", "second", "second"]
+    # tracks are numbered at their first stream() or begin(), not by export order
+    assert tracer.tracks == {"s1": 0, "s2": 1, "runner": 2}
+    events = [e for e in chrome_trace(tracer)["traceEvents"] if e["ph"] != "M"]
+    assert [(e["name"], e["tid"]) for e in events] == [
+        ("run", 2), ("first", 0), ("second", 1), ("second", 1),
+    ]
 
 
 def test_by_name():
     env = Environment()
     tracer = SpanTracer(env)
-    tracer.instant("a", track="t")
-    tracer.instant("b", track="t")
-    tracer.instant("a", track="t")
-    assert len(tracer.by_name("a")) == 2
+    a = tracer.stream("a", track="t").append
+    b = tracer.stream("b", track="t").append
+    a((0.0, None))
+    b((0.0, None))
+    a((1.0, None))
+    tracer.end(tracer.begin("a", track="t"))
+    assert [s.start for s in tracer.by_name("a")] == [0.0, 0.0, 1.0]
 
 
 def test_max_spans_cap_counts_drops():
     env = Environment()
     tracer = SpanTracer(env, max_spans=2)
-    tracer.instant("one", track="t")
-    tracer.instant("two", track="t")
-    tracer.instant("three", track="t")
-    assert len(tracer.spans) == 2
+    spans = [tracer.begin(name, track="t") for name in ("one", "two", "three")]
+    for span in spans:
+        tracer.end(span)  # a dropped span still ends cleanly
+    assert [s.name for s in tracer.spans] == ["one", "two"]
     assert tracer.dropped == 1
