@@ -7,15 +7,15 @@ Shows the two workflow-integration features:
    ``pid, app, timestamp, file, offset, size``) becomes a replayable
    workload via ``workload_from_trace_rows``; the same spec round-trips
    through JSON for archiving.
-2. **Occupancy timeline** — a ``TierOccupancySampler`` attached to the
-   run renders how the prefetch hierarchy fills and drains over time:
-   the DMSH acting as "one big prefetching cache".
+2. **Occupancy timeline** — a telemetry handle samples each tier's
+   ``tier.<name>.used`` gauge during the run, and the strips below render
+   how the prefetch hierarchy fills and drains over time: the DMSH
+   acting as "one big prefetching cache".
 
 Run:  python examples/trace_replay.py
 """
 
-from repro import HFetchConfig, HFetchPrefetcher, WorkflowRunner
-from repro.metrics.timeline import TierOccupancySampler
+from repro import HFetchConfig, HFetchPrefetcher, Telemetry, WorkflowRunner
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster, TierSpec
 from repro.storage.devices import BURST_BUFFER, DRAM, NVME
 from repro.workloads.io_traces import (
@@ -25,6 +25,7 @@ from repro.workloads.io_traces import (
 )
 
 MB = 1 << 20
+SHADES = " .:-=+*#%@"
 
 
 def synthesize_trace() -> list:
@@ -63,23 +64,26 @@ def main() -> None:
             )
         ).scaled_for(restored.num_processes)
     )
-    sampler = TierOccupancySampler(
-        cluster.env, cluster.hierarchy, interval=0.02
-    )
-    sampler.start()
+    tel = Telemetry(sample_interval=0.02)
     prefetcher = HFetchPrefetcher(
         HFetchConfig(engine_interval=0.05, engine_update_threshold=16)
     )
-    result = WorkflowRunner(cluster, restored, prefetcher).run()
-    sampler.stop()
+    result = WorkflowRunner(cluster, restored, prefetcher, telemetry=tel).run()
 
     print(f"replay under HFetch: {result.end_to_end_time:.2f}s, "
           f"{result.hit_ratio:.0%} hits\n")
     print("tier occupancy over time (darker = fuller):")
-    print(sampler.render(width=64))
-    for tier in ("RAM", "NVMe", "BurstBuffer"):
-        print(f"  {tier:>12}: mean utilisation {sampler.utilisation(tier):.0%}, "
-              f"peak {sampler.peak(tier) / MB:.0f} MB")
+    width = 64
+    stats = []
+    for tier in cluster.hierarchy.tiers:
+        used = [v for _, v in tel.registry.gauge_series(f"tier.{tier.name}.used")]
+        picked = used[:: max(1, len(used) // width)][:width]
+        strip = "".join(SHADES[min(9, int(9 * v / tier.capacity))] for v in picked)
+        print(f"{tier.name:>12} |{strip}|")
+        stats.append((tier.name, sum(used) / len(used) / tier.capacity, max(used)))
+    for name, utilisation, peak in stats:
+        print(f"  {name:>12}: mean utilisation {utilisation:.0%}, "
+              f"peak {peak / MB:.0f} MB")
 
 
 if __name__ == "__main__":

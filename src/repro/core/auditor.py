@@ -93,14 +93,9 @@ class FileSegmentAuditor:
         self._fold_mark = None
         self._flows = None
 
-    def bind_telemetry(self, telemetry) -> None:
+    def bind_telemetry(self, tel) -> None:
         """Open the fold trace stream on a live handle and register the
         ``dhm.update`` stream its finalize fills from the fold records."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
         self.telemetry = tel
         self._tel_env = tel.tracer.env
         self._flows = tel.provenance.flow

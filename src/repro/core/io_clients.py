@@ -105,19 +105,12 @@ class IOClientPool:
         self._move_marks: dict[str, Callable] = {}
         self._prov = None
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Register I/O-client metrics into a live telemetry handle."""
-        from repro.telemetry.handle import live as _live
-
-        tel = _live(telemetry)
-        if tel is None:
-            return
+    def bind_telemetry(self, tel) -> None:
+        """Open the I/O clients' trace streams on a live telemetry handle."""
         self.telemetry = tel
         self._prov = tel.provenance
-        reg = tel.registry
         # folded from the event log when the handle finalizes
-        reg.histogram("io.move_latency_s")
-        reg.gauge("io.backlog", fn=lambda: self.backlog)
+        tel.registry.histogram("io.move_latency_s")
         # one trace stream pair per destination tier (workers of a tier
         # share the tier's track); the handle fills ``io.move_done``
         # from the event log at end of run

@@ -56,20 +56,8 @@ class HardwareMonitor:
         self.file_events = 0
         self.capacity_events = 0
         self.busy_time = 0.0
-        # telemetry (None in normal runs: zero overhead)
+        # live telemetry handle, set by the server (None in normal runs)
         self.telemetry = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Register monitor metrics into a live telemetry handle."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
-        self.telemetry = tel
-        reg = tel.registry
-        reg.gauge("monitor.busy_time_s", fn=lambda: self.busy_time)
-        reg.gauge("monitor.file_events", fn=lambda: self.file_events)
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:

@@ -103,17 +103,12 @@ class PlacementEngine:
         self._rehoming = False
         auditor.add_update_listener(self._on_score_update)
 
-    def bind_telemetry(self, telemetry) -> None:
+    def bind_telemetry(self, tel) -> None:
         """Record decisions into a live handle's event log, register the
         ``engine.place`` stream its finalize fills from the log, and fold
         every pass's dirty-vector size into ``engine.dirty_batch`` at the
         end of the run (the ``engine.pass`` spans stop at the retention
         cap; the histogram does not)."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
         self.telemetry = tel
         self._prov = tel.provenance
         tel.tracer.stream("engine.place", "engine", "engine", fields=("tier", "score"))

@@ -101,28 +101,18 @@ class HFetchServer:
             self._bind_telemetry(tel)
 
     def _bind_telemetry(self, tel) -> None:
-        """Distribute the live telemetry handle across every component."""
+        """Distribute the live telemetry handle across every component
+        and make :meth:`metrics` the handle's gauge source."""
         self.inotify.bind_telemetry(tel)
         self.queue.bind_telemetry(tel)
         self.auditor.bind_telemetry(tel)
-        self.monitor.bind_telemetry(tel)
+        self.monitor.telemetry = tel
         self.engine.bind_telemetry(tel)
         self.io_clients.bind_telemetry(tel)
-        self.hierarchy.bind_telemetry(tel)
+        self.hierarchy.prov = tel.provenance
         self.stats_map.bind_telemetry(tel, prefix="dhm.stats")
         self.agent_manager.mapping_map.bind_telemetry(tel, prefix="dhm.mapping")
-        reg = tel.registry
-        reg.gauge("auditor.pending_updates", fn=lambda: self.auditor.pending_updates)
-        reg.gauge("auditor.score_updates", fn=lambda: self.auditor.score_updates)
-        reg.gauge(
-            "auditor.events_processed", fn=lambda: self.auditor.events_processed
-        )
-        reg.gauge("engine.passes", fn=lambda: self.engine.passes)
-        reg.gauge("engine.placed", fn=lambda: self.engine.segments_placed)
-        reg.gauge("engine.demoted", fn=lambda: self.engine.segments_demoted)
-        reg.gauge("io.bytes_moved", fn=lambda: self.io_clients.bytes_moved)
-        reg.gauge("io.moves_failed", fn=lambda: self.io_clients.moves_failed)
-        reg.gauge("io.move_retries", fn=lambda: self.io_clients.move_retries)
+        tel.registry.add_gauges(self.metrics)
 
     # -- lifecycle -------------------------------------------------------------
     def start(self) -> None:
@@ -162,30 +152,56 @@ class HFetchServer:
 
     # -- diagnostics -------------------------------------------------------------
     def metrics(self) -> dict:
-        """A flat snapshot of the server's internal counters."""
-        return {
-            "events_emitted": self.inotify.events_emitted,
-            "events_processed": self.auditor.events_processed,
-            "events_dropped": self.queue.dropped,
-            "score_updates": self.auditor.score_updates,
-            "engine_passes": self.engine.passes,
-            "segments_placed": self.engine.segments_placed,
-            "segments_demoted": self.engine.segments_demoted,
-            "moves_completed": self.io_clients.moves_completed,
-            "bytes_moved": self.io_clients.bytes_moved,
-            "location_queries": self.agent_manager.location_queries,
-            "active_epochs": self.auditor.active_epochs,
-            "consumption_rate": self.monitor.consumption_rate(),
-            # fault tolerance / error budget
-            "moves_failed": self.io_clients.moves_failed,
-            "move_retries": self.io_clients.move_retries,
-            "demand_fallbacks": self.io_clients.demand_fallbacks,
-            "tier_failures": self.hierarchy.tier_failures,
-            "segments_rehomed": self.engine.segments_rehomed,
-            "dhm_degraded_ops": self.stats_map.degraded_ops
-            + self.agent_manager.mapping_map.degraded_ops,
-            "dhm_retries": self.stats_map.retries + self.agent_manager.mapping_map.retries,
+        """The server's counters and levels, keyed by gauge name.
+
+        The one list of them: a telemetry run samples it as the gauge
+        timeline, and everything else reads it directly.
+        """
+        queue, monitor, auditor = self.queue, self.monitor, self.auditor
+        engine, io, hier = self.engine, self.io_clients, self.hierarchy
+        out = {
+            "inotify.events_emitted": self.inotify.events_emitted,
+            "queue.pushed": queue.produced,
+            "queue.dropped": queue.dropped,
+            "queue.level": queue.level,
+            "queue.max_level": queue.max_level,
+            "monitor.busy_time_s": monitor.busy_time,
+            "monitor.file_events": monitor.file_events,
+            "auditor.events_processed": auditor.events_processed,
+            "auditor.score_updates": auditor.score_updates,
+            "auditor.pending_updates": auditor.pending_updates,
+            "auditor.active_epochs": auditor.active_epochs,
+            "engine.passes": engine.passes,
+            "engine.placed": engine.segments_placed,
+            "engine.demoted": engine.segments_demoted,
+            "engine.rehomed": engine.segments_rehomed,
+            "io.backlog": io.backlog,
+            "io.moves_completed": io.moves_completed,
+            "io.bytes_moved": io.bytes_moved,
+            "io.moves_failed": io.moves_failed,
+            "io.move_retries": io.move_retries,
+            "io.demand_fallbacks": io.demand_fallbacks,
+            "hierarchy.placements": hier.placements,
+            "hierarchy.evictions": hier.evictions,
+            "hierarchy.promotions": hier.promotions,
+            "hierarchy.demotions": hier.demotions,
+            "hierarchy.segments_displaced": hier.segments_displaced,
+            "hierarchy.tier_failures": hier.tier_failures,
+            "agents.location_queries": self.agent_manager.location_queries,
         }
+        for tier in hier.tiers:
+            out[f"tier.{tier.name}.used"] = tier.used
+            out[f"tier.{tier.name}.resident"] = tier.resident_count
+        for prefix, dhm in (
+            ("dhm.stats", self.stats_map),
+            ("dhm.mapping", self.agent_manager.mapping_map),
+        ):
+            out[f"{prefix}.local_ops"] = dhm.local_ops
+            out[f"{prefix}.remote_ops"] = dhm.remote_ops
+            out[f"{prefix}.total_cost_s"] = dhm.total_cost
+            out[f"{prefix}.degraded_ops"] = dhm.degraded_ops
+            out[f"{prefix}.retries"] = dhm.retries
+        return out
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<HFetchServer started={self._started} {self.hierarchy!r}>"

@@ -158,13 +158,8 @@ class DistributedHashMap:
         self._h_op = None
         self._h_batch_cost = None
 
-    def bind_telemetry(self, telemetry, prefix: str = "dhm") -> None:
-        """Register this map's metrics under ``prefix`` in a live handle."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
+    def bind_telemetry(self, tel, prefix: str = "dhm") -> None:
+        """Register this map's histograms under ``prefix`` in a live handle."""
         reg = tel.registry
         # per-op costs sit around 2e-7..5e-6 s — start buckets below them
         self._h_op = reg.histogram(f"{prefix}.op_cost_s", lo=1e-8)
@@ -180,10 +175,6 @@ class DistributedHashMap:
             self._h_op.observe_batch(self.cost.remote, self.remote_ops - start_remote)
 
         tel.add_finalizer(_fold_op_costs)
-        reg.gauge(f"{prefix}.local_ops", fn=lambda: self.local_ops)
-        reg.gauge(f"{prefix}.remote_ops", fn=lambda: self.remote_ops)
-        reg.gauge(f"{prefix}.total_cost_s", fn=lambda: self.total_cost)
-        reg.gauge(f"{prefix}.degraded_ops", fn=lambda: self.degraded_ops)
 
     # -- shard plumbing ------------------------------------------------------
     @property

@@ -51,13 +51,8 @@ class SimInotify:
         self.telemetry: Any = None
         self._emit_mark: Any = None
 
-    def bind_telemetry(self, telemetry) -> None:
+    def bind_telemetry(self, tel) -> None:
         """Open the ``fs.emit`` trace stream on a live telemetry handle."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
         self.telemetry = tel
         self._emit_mark = tel.tracer.stream(
             "fs.emit", "events", "inotify", fields=("etype", "file")

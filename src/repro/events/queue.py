@@ -52,30 +52,18 @@ class EventQueue:
         self._pop_mark: Optional[Any] = None
         self._drop_mark: Optional[Any] = None
 
-    def bind_telemetry(self, telemetry) -> None:
-        """Register queue metrics into a live telemetry handle.
+    def bind_telemetry(self, tel) -> None:
+        """Open the queue's trace streams on a live telemetry handle.
 
         The dwell histogram is folded from the trace at end of run: an
         event's dwell is exactly the gap between its ``fs.emit`` and
         ``queue.pop`` marks (both already recorded for flow tracing),
         so the pop hot path pays nothing for it.
         """
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
         self.telemetry = tel
         self._pop_mark = tel.tracer.stream("queue.pop", "events", "queue").append
         self._drop_mark = tel.tracer.stream("queue.drop", "events", "queue").append
-        reg = tel.registry
-        self._h_dwell = reg.histogram("queue.dwell_s")
-        # pushed/dropped mirror the queue's own attrs — sampled gauges,
-        # so the push hot path pays no per-event counter work
-        reg.gauge("queue.pushed", fn=lambda: self.produced)
-        reg.gauge("queue.dropped", fn=lambda: self.dropped)
-        reg.gauge("queue.level", fn=lambda: self.level)
-        reg.gauge("queue.max_level", fn=lambda: self.max_level)
+        self._h_dwell = tel.registry.histogram("queue.dwell_s")
 
         def _fold_dwell() -> None:
             for dt in tel.tracer.flow_latencies("fs.emit", "queue.pop").values():

@@ -73,7 +73,7 @@ def ablate_decay_base(values=(2.0, 4.0, 8.0, 16.0), verbose: bool = False) -> li
                 "decay_base_p": p,
                 "time_s": result.end_to_end_time,
                 "hit_ratio_%": 100 * result.hit_ratio,
-                "moves": pf.metrics()["moves_completed"],
+                "moves": pf.metrics()["io.moves_completed"],
             }
         )
     if verbose:
@@ -171,7 +171,7 @@ def ablate_reactiveness_trigger(verbose: bool = False) -> list[dict]:
                 "trigger": label,
                 "time_s": result.end_to_end_time,
                 "hit_ratio_%": 100 * result.hit_ratio,
-                "engine_passes": pf.metrics()["engine_passes"],
+                "engine_passes": pf.metrics()["engine.passes"],
             }
         )
     if verbose:
@@ -189,7 +189,7 @@ def ablate_scoring_model(models=("eq1", "ewma", "hybrid"), verbose: bool = False
                 "scoring_model": model,
                 "time_s": result.end_to_end_time,
                 "hit_ratio_%": 100 * result.hit_ratio,
-                "moves": pf.metrics()["moves_completed"],
+                "moves": pf.metrics()["io.moves_completed"],
             }
         )
     if verbose:

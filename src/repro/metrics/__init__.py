@@ -10,13 +10,10 @@ output and EXPERIMENTS.md.
 
 from repro.metrics.collector import MetricsCollector, RunResult, summarize_repeats
 from repro.metrics.report import format_table, format_run_results
-from repro.metrics.timeline import TierOccupancySampler, TierSample
 
 __all__ = [
     "MetricsCollector",
     "RunResult",
-    "TierOccupancySampler",
-    "TierSample",
     "format_run_results",
     "format_table",
     "summarize_repeats",

@@ -100,11 +100,6 @@ class MetricsCollector:
         """Count one injected fault or degradation outcome."""
         self.faults[kind] += n
 
-    @property
-    def prefetch_errors(self) -> int:
-        """Terminal prefetch failures (the spent error budget)."""
-        return self.faults.get("prefetch_error", 0)
-
     # -- recording -------------------------------------------------------------
     def record_read(
         self,

@@ -111,7 +111,7 @@ class WorkflowRunner:
         self.prefetcher.attach(self.ctx)
         self.prefetcher.on_workload(self.workload)
         if tel is not None:
-            self._register_run_gauges(tel)
+            tel.registry.add_gauges(self._read_gauges)
             tel.start_sampler()
             run_span = tel.tracer.begin(
                 "run",
@@ -175,25 +175,21 @@ class WorkflowRunner:
         )
         return result
 
-    def _register_run_gauges(self, tel) -> None:
-        """Expose the collector's headline counters as sampled gauges."""
-        metrics = self.metrics
-        reg = tel.registry
-        reg.gauge("reads.hits", fn=lambda: metrics.hits)
-        reg.gauge("reads.misses", fn=lambda: metrics.misses)
-        reg.gauge("reads.bytes", fn=lambda: metrics.bytes_read)
-        reg.gauge(
-            "prefetch.bytes", fn=lambda: self.prefetcher.bytes_prefetched
-        )
-        for tier in list(self.ctx.hierarchy.tiers) + [self.ctx.hierarchy.backing]:
-            reg.gauge(
-                f"reads.tier.{tier.name}",
-                fn=lambda name=tier.name: metrics.tier_hits.get(name, 0),
-            )
-            reg.gauge(
-                f"reads.tier.{tier.name}.miss",
-                fn=lambda name=tier.name: metrics.tier_misses.get(name, 0),
-            )
+    def _read_gauges(self) -> dict:
+        """The collector's headline counters, keyed by gauge name (the
+        runner's gauge source in a telemetry run)."""
+        m = self.metrics
+        out = {
+            "reads.hits": m.hits,
+            "reads.misses": m.misses,
+            "reads.bytes": m.bytes_read,
+            "prefetch.bytes": self.prefetcher.bytes_prefetched,
+        }
+        hierarchy = self.ctx.hierarchy
+        for tier in (*hierarchy.tiers, hierarchy.backing):
+            out[f"reads.tier.{tier.name}"] = m.tier_hits.get(tier.name, 0)
+            out[f"reads.tier.{tier.name}.miss"] = m.tier_misses.get(tier.name, 0)
+        return out
 
     # -- per-rank body --------------------------------------------------------------
     def _process_body(self, spec: ProcessSpec) -> Generator:

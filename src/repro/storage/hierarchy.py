@@ -47,33 +47,13 @@ class StorageHierarchy:
         self.tier_failures = 0
         self.tier_recoveries = 0
         self.segments_displaced = 0
-        #: the run's event log (telemetry runs only); :meth:`evict`
+        #: the run's event log, set by the HFetch server in telemetry
+        #: runs (its counters above reach the gauge timeline through
+        #: ``HFetchServer.metrics()``); :meth:`evict`
         #: is the single choke point every cache departure goes through,
         #: so one tap here covers rejection, invalidation and rollback —
         #: callers pass the ``cause`` it records
         self.prov = None
-
-    def bind_telemetry(self, telemetry) -> None:
-        """Register ledger counters and per-tier occupancy as gauges."""
-        from repro.telemetry.handle import live
-
-        tel = live(telemetry)
-        if tel is None:
-            return
-        self.prov = tel.provenance
-        reg = tel.registry
-        reg.gauge("hierarchy.placements", fn=lambda: self.placements)
-        reg.gauge("hierarchy.evictions", fn=lambda: self.evictions)
-        reg.gauge("hierarchy.promotions", fn=lambda: self.promotions)
-        reg.gauge("hierarchy.demotions", fn=lambda: self.demotions)
-        reg.gauge(
-            "hierarchy.segments_displaced", fn=lambda: self.segments_displaced
-        )
-        for tier in self.tiers:
-            reg.gauge(f"tier.{tier.name}.used", fn=lambda t=tier: t.used)
-            reg.gauge(
-                f"tier.{tier.name}.resident", fn=lambda t=tier: t.resident_count
-            )
 
     # -- structure ---------------------------------------------------------
     def tier_index(self, tier: StorageTier) -> int:

@@ -8,10 +8,12 @@ The observability layer of the reproduction.  One
   per-fs-event *flow ids*, so a single inotify event is traceable
   end-to-end: emit → queue dwell → auditor fold → DHM update →
   placement decision → data movement;
-* a :class:`~repro.telemetry.registry.MetricRegistry` of counters,
-  gauges and deterministic log-bucket histograms that every layer
-  registers into (queue depth, batch sizes, DHM op costs, per-tier
-  rates, move bytes and retries);
+* a :class:`~repro.telemetry.registry.MetricRegistry` of deterministic
+  log-bucket histograms that layers register into (queue dwell, read
+  and move latencies, DHM op costs, placement batch sizes), plus a
+  gauge timeline sampled from the server's
+  :meth:`~repro.core.server.HFetchServer.metrics` and the runner's read
+  counters;
 * exporters: Chrome ``trace_event`` JSON (Perfetto / ``about:tracing``),
   JSONL metric dumps, and a console summary table.
 
@@ -45,7 +47,7 @@ from repro.telemetry.exporters import (
     metrics_records,
 )
 from repro.telemetry.handle import NullTelemetry, Telemetry, live
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
+from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.telemetry.schema import (
     CHROME_TRACE_SCHEMA,
     TraceValidationError,
@@ -60,8 +62,6 @@ __all__ = [
     "Span",
     "SpanTracer",
     "Stream",
-    "Counter",
-    "Gauge",
     "Histogram",
     "MetricRegistry",
     "chrome_trace",

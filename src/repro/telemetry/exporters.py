@@ -7,9 +7,9 @@ Three views of one instrumented run:
   or ``about:tracing``.  Tracks become threads; spans with a flow id get
   ``s``/``t`` flow events so the event's path across tracks renders as
   arrows.
-* :func:`metrics_records` / :func:`export_metrics_jsonl` — every counter,
-  gauge and histogram snapshot plus the sampled gauge timeline, one JSON
-  object per line.
+* :func:`metrics_records` / :func:`export_metrics_jsonl` — every
+  histogram snapshot, every gauge's final value and the sampled gauge
+  timeline, one JSON object per line.
 * :func:`console_summary` — a fixed-width table of the headline metrics
   for terminal output.
 
@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Optional
 
 from repro.metrics.report import format_table
-from repro.telemetry.registry import Counter, Gauge, Histogram, MetricRegistry
+from repro.telemetry.registry import MetricRegistry
 from repro.telemetry.tracer import SpanTracer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -131,9 +131,9 @@ def metrics_records(
 ) -> list[dict]:
     """Flatten the registry into JSONL-ready records.
 
-    One ``meta`` record, one record per metric snapshot, then one
-    ``sample`` record per sampled gauge row (the tier-occupancy
-    timeline).
+    One ``meta`` record, one record per histogram snapshot, one ``gauge``
+    record per gauge (its value now), then one ``sample`` record per
+    sampled gauge row (the gauge timeline, tier occupancy included).
     """
     records: list[dict] = [
         {
@@ -175,17 +175,7 @@ def console_summary(telemetry: "Telemetry") -> str:
         )
     )
 
-    counters = [m for m in registry.metrics() if isinstance(m, Counter) and m.value]
-    if counters:
-        sections.append(
-            format_table(
-                [{"counter": c.name, "value": c.value} for c in counters],
-                columns=["counter", "value"],
-                title="counters",
-            )
-        )
-
-    histograms = [m for m in registry.metrics() if isinstance(m, Histogram) and m.count]
+    histograms = [h for h in registry.histograms() if h.count]
     if histograms:
         sections.append(
             format_table(
@@ -205,12 +195,9 @@ def console_summary(telemetry: "Telemetry") -> str:
             )
         )
 
-    gauges = [m for m in registry.metrics() if isinstance(m, Gauge)]
-    if gauges and registry.samples:
+    if registry.samples:
         last_when, last_row = registry.samples[-1]
-        rows = [
-            {"gauge": g.name, "last": last_row.get(g.name, g.read())} for g in gauges
-        ]
+        rows = [{"gauge": name, "last": value} for name, value in last_row.items()]
         sections.append(
             format_table(
                 rows,

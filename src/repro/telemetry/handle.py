@@ -3,8 +3,10 @@
 One :class:`Telemetry` object accompanies one workload run: the runner
 binds it to the simulation environment, the server wires it into the
 event queue, monitor, auditor, DHM, placement engine, I/O clients and
-hierarchy, and each layer records spans, metrics and events (into the
-handle's event log) through it.  After the run, the handle exports a
+hierarchy, and each layer records spans, histograms and events (into
+the handle's event log) through it; the gauges are sampled from the
+server's :meth:`~repro.core.server.HFetchServer.metrics` and the
+runner's read counters.  After the run, the handle exports a
 Chrome trace, a JSONL metric dump and a console summary, and
 contributes headline numbers to
 ``RunResult.extra["telemetry"]``.
@@ -14,7 +16,9 @@ guarantee): layers hold ``telemetry = None`` unless a live, enabled
 handle was provided — the disabled path costs one attribute load and a
 ``None`` check per site, and a run without telemetry is bit-identical
 to one that predates the subsystem.  :func:`live` performs that
-normalisation; :class:`NullTelemetry` is the explicit disabled object.
+normalisation once, in the runner and the server; the components'
+``bind_telemetry`` methods receive the live handle.
+:class:`NullTelemetry` is the explicit disabled object.
 
 Telemetry never advances the virtual clock, so even an *enabled* run
 produces the same :class:`~repro.metrics.collector.RunResult` as a
@@ -246,7 +250,7 @@ class Telemetry:
         out["metrics"] = len(self.registry)
         out["gauge_samples"] = len(self.registry.samples)
         dwell = self.registry.get("queue.dwell_s")
-        if dwell is not None and getattr(dwell, "count", 0):
+        if dwell is not None and dwell.count:
             out["queue_dwell_p99_s"] = dwell.quantile(0.99)
         return out
 

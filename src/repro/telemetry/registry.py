@@ -1,13 +1,15 @@
-"""The metric registry: counters, gauges, and log-bucket histograms.
+"""The metric registry: log-bucket histograms and sampled gauges.
 
-Everything here is deterministic and wall-clock free: counters and
-histograms fold observations made at instrumentation sites; gauges read
-live values (through a callable source or an explicitly set value) when
-the registry is *sampled* at a virtual-time cadence by the telemetry
-handle's sampler (:meth:`~repro.telemetry.handle.Telemetry.start_sampler`).
-Histograms use fixed log-scale buckets so percentile estimates are
-reproducible across runs and machines (no reservoir sampling, no
-randomisation).
+Everything here is deterministic and wall-clock free.  Histograms fold
+observations made at instrumentation sites.  Gauges are not objects:
+the registry holds a list of *gauge sources*, zero-argument callables
+that each return a ``{dotted name: value}`` dict of live counters and
+levels (the server's :meth:`~repro.core.server.HFetchServer.metrics`
+and the runner's read counters).  The telemetry handle's sampler
+(:meth:`~repro.telemetry.handle.Telemetry.start_sampler`) reads them at
+a virtual-time cadence into the gauge timeline.  Histograms use fixed
+log-scale buckets so percentile estimates are reproducible across runs
+and machines (no reservoir sampling, no randomisation).
 """
 
 from __future__ import annotations
@@ -16,56 +18,7 @@ import math
 from collections import Counter as _ValueCounter
 from typing import Any, Callable, Iterable, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricRegistry"]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "value")
-    kind = "counter"
-
-    def __init__(self, name: str):
-        self.name = name
-        self.value = 0
-
-    def inc(self, n: int = 1) -> None:
-        """Add ``n`` (must be >= 0)."""
-        self.value += n
-
-    def snapshot(self) -> dict:
-        """Exportable state."""
-        return {"type": "counter", "name": self.name, "value": self.value}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Counter {self.name}={self.value}>"
-
-
-class Gauge:
-    """A point-in-time value, read from a source callable or set directly."""
-
-    __slots__ = ("name", "fn", "value")
-    kind = "gauge"
-
-    def __init__(self, name: str, fn: Optional[Callable[[], Any]] = None):
-        self.name = name
-        self.fn = fn
-        self.value: Any = 0
-
-    def set(self, value: Any) -> None:
-        """Record the latest value (ignored if a source callable is set)."""
-        self.value = value
-
-    def read(self) -> Any:
-        """Current value (evaluates the source callable when present)."""
-        return self.fn() if self.fn is not None else self.value
-
-    def snapshot(self) -> dict:
-        """Exportable state."""
-        return {"type": "gauge", "name": self.name, "value": self.read()}
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Gauge {self.name}={self.read()}>"
+__all__ = ["Histogram", "MetricRegistry"]
 
 
 class Histogram:
@@ -87,7 +40,6 @@ class Histogram:
         "name", "lo", "growth", "_counts", "_count", "_total",
         "_vmin", "_vmax", "_log_growth", "_pending",
     )
-    kind = "histogram"
 
     #: pending observations are folded past this length (bounds memory)
     _FOLD_LIMIT = 8192
@@ -245,71 +197,61 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Named metrics, created lazily, plus a sampled gauge timeline.
+    """Named histograms, gauge sources, and the sampled gauge timeline.
 
-    Layers call :meth:`counter` / :meth:`gauge` / :meth:`histogram` at
-    wiring time and hold the returned object; re-requesting a name
-    returns the same instance (a kind mismatch raises).  A periodic
-    driver calls :meth:`record_sample` to append the current gauge
-    values to :attr:`samples`, building the per-tier time series the
-    exporters dump.
+    Layers call :meth:`histogram` at wiring time and hold the returned
+    object; re-requesting a name returns the same instance.  Gauge
+    values come from the sources added with :meth:`add_gauges`, merged
+    in the order they were added.  The telemetry handle's sampler calls
+    :meth:`record_sample` to append the current gauge values to
+    :attr:`samples`, building the time series the exporters dump.
     """
 
     def __init__(self):
-        self._metrics: dict[str, Any] = {}
+        self._histograms: dict[str, Histogram] = {}
+        self._sources: list[Callable[[], dict]] = []
         #: ``(virtual_time, {gauge name: value})`` rows in sample order
         self.samples: list[tuple[float, dict]] = []
 
     # -- creation ----------------------------------------------------------
-    def _register(self, name: str, kind: type, factory: Callable[[], Any]):
-        metric = self._metrics.get(name)
-        if metric is None:
-            self._metrics[name] = metric = factory()
-        elif not isinstance(metric, kind):
-            raise TypeError(
-                f"metric {name!r} already registered as {type(metric).__name__}, "
-                f"requested {kind.__name__}"
-            )
-        return metric
-
-    def counter(self, name: str) -> Counter:
-        """Get-or-create a counter."""
-        return self._register(name, Counter, lambda: Counter(name))
-
-    def gauge(self, name: str, fn: Optional[Callable[[], Any]] = None) -> Gauge:
-        """Get-or-create a gauge; ``fn`` (if given) becomes its source."""
-        gauge = self._register(name, Gauge, lambda: Gauge(name, fn))
-        if fn is not None:
-            gauge.fn = fn
-        return gauge
-
     def histogram(
         self, name: str, lo: float = 1e-7, growth: float = 2.0, buckets: int = 64
     ) -> Histogram:
         """Get-or-create a log-bucket histogram."""
-        return self._register(
-            name, Histogram, lambda: Histogram(name, lo=lo, growth=growth, buckets=buckets)
-        )
+        h = self._histograms.get(name)
+        if h is None:
+            h = Histogram(name, lo=lo, growth=growth, buckets=buckets)
+            self._histograms[name] = h
+        return h
+
+    def add_gauges(self, source: Callable[[], dict]) -> None:
+        """Add a gauge source: a callable returning ``{name: value}``."""
+        self._sources.append(source)
 
     # -- access ------------------------------------------------------------
-    def get(self, name: str) -> Optional[Any]:
-        """The metric registered under ``name``, or None."""
-        return self._metrics.get(name)
+    def get(self, name: str) -> Optional[Histogram]:
+        """The histogram registered under ``name``, or None."""
+        return self._histograms.get(name)
+
+    def histograms(self) -> Iterable[Histogram]:
+        """All histograms in creation order."""
+        return self._histograms.values()
+
+    def gauges(self) -> dict:
+        """Every gauge's current value, sources merged in order."""
+        row: dict = {}
+        for source in self._sources:
+            row.update(source())
+        return row
 
     def names(self) -> list[str]:
-        """Registered names in creation order."""
-        return list(self._metrics)
-
-    def metrics(self) -> Iterable[Any]:
-        """All metric objects in creation order."""
-        return self._metrics.values()
+        """Histogram names in creation order."""
+        return list(self._histograms)
 
     # -- sampling ----------------------------------------------------------
     def record_sample(self, when: float) -> dict:
         """Append one row of every gauge's current value at ``when``."""
-        row = {
-            name: m.read() for name, m in self._metrics.items() if isinstance(m, Gauge)
-        }
+        row = self.gauges()
         self.samples.append((when, row))
         return row
 
@@ -319,11 +261,17 @@ class MetricRegistry:
 
     # -- export ------------------------------------------------------------
     def collect(self) -> list[dict]:
-        """Snapshot every metric (creation order)."""
-        return [m.snapshot() for m in self._metrics.values()]
+        """Snapshot every histogram (creation order), then every gauge."""
+        records = [h.snapshot() for h in self._histograms.values()]
+        records.extend(
+            {"type": "gauge", "name": name, "value": value}
+            for name, value in self.gauges().items()
+        )
+        return records
 
     def __len__(self) -> int:
-        return len(self._metrics)
+        """Number of metrics: histograms plus gauges."""
+        return len(self._histograms) + len(self.gauges())
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<MetricRegistry metrics={len(self._metrics)} samples={len(self.samples)}>"
+        return f"<MetricRegistry metrics={len(self)} samples={len(self.samples)}>"

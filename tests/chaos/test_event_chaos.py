@@ -134,6 +134,6 @@ class TestPrefetchIOErrors:
         runner, result = run_hfetch(fault_plan=plan)
         assert_no_lost_segments(runner, result)
         m = runner.prefetcher.server.metrics()
-        assert m["move_retries"] > 0
+        assert m["io.move_retries"] > 0
         # retried moves eventually succeed often enough to keep prefetching
-        assert m["moves_completed"] > 0
+        assert m["io.moves_completed"] > 0

@@ -131,8 +131,8 @@ class TestMidRunOutage:
         # the demand-fetch fallback budget is surfaced in the metrics
         server = runner.prefetcher.server
         m = server.metrics()
-        assert "demand_fallbacks" in m and m["demand_fallbacks"] >= 0
-        assert m["tier_failures"] == 1
+        assert "io.demand_fallbacks" in m and m["io.demand_fallbacks"] >= 0
+        assert m["hierarchy.tier_failures"] == 1
 
     def test_replay_is_byte_identical(self):
         plan = self._outage_plan(seed=99)

@@ -156,8 +156,7 @@ class TestAnalysis:
 class TestMetricsJsonl:
     def test_records_and_file(self, tmp_path):
         reg = MetricRegistry()
-        reg.counter("c").inc(3)
-        reg.gauge("g", fn=lambda: 7)
+        reg.add_gauges(lambda: {"c": 3, "g": 7})
         reg.histogram("h").observe(0.5)
         reg.record_sample(when=0.1)
         records = metrics_records(reg, label="unit", when=0.2)
@@ -168,12 +167,12 @@ class TestMetricsJsonl:
             "samples": 1,
             "finalized_at": 0.2,
         }
-        assert {r["type"] for r in records[1:]} == {
-            "counter",
-            "gauge",
+        assert [r["type"] for r in records[1:]] == [
             "histogram",
+            "gauge",
+            "gauge",
             "sample",
-        }
+        ]
         path = tmp_path / "metrics.jsonl"
         n = export_metrics_jsonl(reg, path, label="unit")
         lines = path.read_text().strip().split("\n")

@@ -5,6 +5,9 @@ Chrome trace in which at least one fs event is traceable end-to-end
 through queue → auditor → DHM → placement → movement spans.
 """
 
+import json
+import math
+
 import pytest
 
 from repro.telemetry import (
@@ -90,15 +93,16 @@ def test_layer_metrics_populated(instrumented):
     tel, runner, result = instrumented
     reg = tel.registry
     server = runner.prefetcher.server
-    assert reg.get("queue.pushed").read() == server.queue.produced
+    gauges = reg.gauges()
+    assert gauges["queue.pushed"] == server.queue.produced
     # one observation per read *operation* (an op may span several segments)
     assert 0 < reg.get("read.latency_s").count <= result.hits + result.misses
     assert reg.get("io.move_latency_s").count == server.io_clients.moves_completed
     assert reg.get("dhm.stats.op_cost_s").count > 0
     assert reg.get("engine.dirty_batch").count == server.engine.passes
     # gauge sources read the live counters
-    assert reg.get("engine.passes").read() == server.engine.passes
-    assert reg.get("io.bytes_moved").read() == server.io_clients.bytes_moved
+    assert gauges["engine.passes"] == server.engine.passes
+    assert gauges["io.bytes_moved"] == server.io_clients.bytes_moved
 
 
 def test_sampler_flushed_final_sample(instrumented):
@@ -109,6 +113,51 @@ def test_sampler_flushed_final_sample(instrumented):
     # timeline's tail reaches the end of the run (not one interval short)
     assert last_when == pytest.approx(result.end_to_end_time)
     assert "tier.RAM.used" in row
+
+
+def test_tier_occupancy_series_rises_above_zero(instrumented):
+    tel, _, _ = instrumented
+    series = tel.registry.gauge_series("tier.RAM.used")
+    assert len(series) == len(tel.registry.samples)
+    assert all(t0 < t1 for (t0, _), (t1, _) in zip(series, series[1:]))
+    assert series[0][1] == 0
+    assert max(used for _, used in series) > 0
+
+
+def test_sample_interval_must_be_positive():
+    with pytest.raises(ValueError):
+        Telemetry(sample_interval=0)
+
+
+def test_timeline_is_the_counters(instrumented, tmp_path):
+    tel, runner, result = instrumented
+    _, row = tel.registry.samples[-1]
+    # the last sample is the server's counters plus the runner's reads
+    reads = {
+        k: v for k, v in row.items() if k.startswith("reads.") or k == "prefetch.bytes"
+    }
+    assert row == {**runner.prefetcher.server.metrics(), **reads}
+    collector = runner.metrics
+    assert reads["reads.hits"] == result.hits
+    assert reads["reads.misses"] == result.misses
+    assert reads["reads.bytes"] == collector.bytes_read
+    assert reads["prefetch.bytes"] == runner.prefetcher.bytes_prefetched
+    for tier, hits in collector.tier_hits.items():
+        assert reads[f"reads.tier.{tier}"] == hits
+    # every sampled value is a finite number ...
+    for _, sample in tel.registry.samples:
+        for name, value in sample.items():
+            assert isinstance(value, (int, float)), name
+            assert math.isfinite(value), name
+
+    # ... so the JSONL export is strict JSON (no NaN / Infinity)
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    path = tmp_path / "metrics.jsonl"
+    tel.export_metrics_jsonl(path)
+    for line in path.read_text().splitlines():
+        json.loads(line, parse_constant=reject)
 
 
 def test_summary_table_renders(instrumented):

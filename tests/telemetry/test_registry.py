@@ -1,33 +1,21 @@
-"""Counters, gauges, deterministic log-bucket histograms, sampling."""
+"""Gauge sources, deterministic log-bucket histograms, sampling."""
 
 import math
 
 import pytest
 
-from repro.telemetry import Counter, Gauge, Histogram, MetricRegistry
-
-
-class TestCounter:
-    def test_inc(self):
-        c = Counter("x")
-        c.inc()
-        c.inc(4)
-        assert c.value == 5
-        assert c.snapshot() == {"type": "counter", "name": "x", "value": 5}
+from repro.telemetry import Histogram, MetricRegistry
 
 
 class TestGauge:
-    def test_set_and_read(self):
-        g = Gauge("x")
-        g.set(9)
-        assert g.read() == 9
-
     def test_source_callable_wins(self):
+        # a gauge's value is whatever its source reads at sampling time
         state = {"v": 1}
-        g = Gauge("x", fn=lambda: state["v"])
+        reg = MetricRegistry()
+        reg.add_gauges(lambda: {"x": state["v"]})
         state["v"] = 42
-        assert g.read() == 42
-        assert g.snapshot()["value"] == 42
+        assert reg.gauges() == {"x": 42}
+        assert reg.collect() == [{"type": "gauge", "name": "x", "value": 42}]
 
 
 class TestHistogram:
@@ -90,36 +78,27 @@ class TestHistogram:
 class TestMetricRegistry:
     def test_get_or_create_returns_same_instance(self):
         reg = MetricRegistry()
-        assert reg.counter("a") is reg.counter("a")
         assert reg.histogram("h") is reg.histogram("h")
-        assert len(reg) == 2
-        assert reg.names() == ["a", "h"]
-
-    def test_kind_mismatch_raises(self):
-        reg = MetricRegistry()
-        reg.counter("a")
-        with pytest.raises(TypeError):
-            reg.gauge("a")
-
-    def test_gauge_fn_rebind(self):
-        reg = MetricRegistry()
-        g = reg.gauge("g")
-        reg.gauge("g", fn=lambda: 11)
-        assert g.read() == 11
+        reg.histogram("a")
+        reg.add_gauges(lambda: {"g": 1})
+        assert len(reg) == 3
+        assert reg.names() == ["h", "a"]
+        assert reg.get("h") is reg.histogram("h")
+        assert reg.get("g") is None  # gauges are values, not objects
 
     def test_record_sample_captures_gauges_only(self):
         reg = MetricRegistry()
-        reg.counter("c").inc()
-        reg.gauge("g", fn=lambda: 5)
+        reg.histogram("h").observe(1.0)
+        reg.add_gauges(lambda: {"g": 5, "shared": 1})
+        reg.add_gauges(lambda: {"g2": 6, "shared": 2})  # later sources win
         row = reg.record_sample(when=1.25)
-        assert row == {"g": 5}
-        assert reg.samples == [(1.25, {"g": 5})]
+        assert row == {"g": 5, "shared": 2, "g2": 6}
+        assert reg.samples == [(1.25, row)]
         assert reg.gauge_series("g") == [(1.25, 5)]
 
     def test_collect_snapshots_everything(self):
         reg = MetricRegistry()
-        reg.counter("c")
-        reg.gauge("g")
+        reg.add_gauges(lambda: {"g": 0})
         reg.histogram("h")
         kinds = [s["type"] for s in reg.collect()]
-        assert kinds == ["counter", "gauge", "histogram"]
+        assert kinds == ["histogram", "gauge"]

@@ -8,7 +8,12 @@ suite.
 
 import pytest
 
-from repro.experiments.ablations import ablate_dhm, ablate_reactiveness_trigger
+from repro.experiments.ablations import (
+    ablate_decay_base,
+    ablate_dhm,
+    ablate_reactiveness_trigger,
+    ablate_scoring_model,
+)
 from repro.experiments.fig3a import consumption_rate, run_fig3a
 from repro.experiments.fig3b import run_fig3b
 from repro.experiments.fig4a import run_fig4a
@@ -85,3 +90,15 @@ def test_ablate_trigger_runs():
     rows = ablate_reactiveness_trigger()
     assert len(rows) == 3
     assert all(r["engine_passes"] >= 0 for r in rows)
+
+
+def test_ablate_decay_base_reads_moves():
+    (row,) = ablate_decay_base(values=(2.0,))
+    assert row["decay_base_p"] == 2.0
+    assert row["moves"] > 0
+
+
+def test_ablate_scoring_model_reads_moves():
+    (row,) = ablate_scoring_model(models=("eq1",))
+    assert row["scoring_model"] == "eq1"
+    assert row["moves"] > 0

@@ -1,19 +1,13 @@
-"""Tests for the extension features: multi-version heatmaps, trace
-import/export, and the tier-occupancy sampler."""
+"""Tests for the extension features: multi-version heatmaps and trace
+import/export."""
 
 import numpy as np
 import pytest
 
 from repro.core.heatmap import FileHeatmap, HeatmapStore, heatmap_similarity
-from repro.metrics.timeline import TierOccupancySampler
 from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster
 from repro.runtime.runner import WorkflowRunner
-from repro.sim.core import Environment
-from repro.storage.devices import DRAM, PFS_DISK
-from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
-from repro.storage.tier import StorageTier
 from repro.workloads.io_traces import (
     workload_from_json,
     workload_from_trace_rows,
@@ -140,58 +134,3 @@ def test_trace_replay_runs_end_to_end():
         SimulatedCluster(ClusterSpec().scaled_for(4)), wl, NoPrefetcher()
     ).run()
     assert result.hits + result.misses == 12
-
-
-# ------------------------------------------------------------------- sampler
-def make_hier(env):
-    ram = StorageTier(env, DRAM, 8 * MB)
-    pfs = StorageTier(env, PFS_DISK, 1e15, name="PFS")
-    return StorageHierarchy([ram], pfs)
-
-
-def test_sampler_records_occupancy_over_time():
-    env = Environment()
-    h = make_hier(env)
-    sampler = TierOccupancySampler(env, h, interval=0.1)
-    sampler.start()
-
-    def mutator():
-        yield env.timeout(0.25)
-        h.place(SegmentKey("f", 0), 2 * MB, h.tiers[0])
-        yield env.timeout(0.3)
-        h.evict(SegmentKey("f", 0))
-        yield env.timeout(0.3)
-
-    proc = env.process(mutator())
-    env.run(until=proc)
-    sampler.stop()
-    used = [s.used["RAM"] for s in sampler.samples]
-    assert 0 in used and 2 * MB in used
-    assert sampler.peak("RAM") == 2 * MB
-    assert 0 < sampler.utilisation("RAM") < 1
-
-
-def test_sampler_series_and_render():
-    env = Environment()
-    h = make_hier(env)
-    sampler = TierOccupancySampler(env, h, interval=0.1)
-    sampler.start()
-    env.run(until=0.5)
-    sampler.stop()
-    series = sampler.series("RAM")
-    assert len(series) >= 4
-    assert all(t0 <= t1 for (t0, _), (t1, _) in zip(series, series[1:]))
-    out = sampler.render(width=20)
-    assert "RAM" in out
-
-
-def test_sampler_validation_and_idempotent_start():
-    env = Environment()
-    h = make_hier(env)
-    with pytest.raises(ValueError):
-        TierOccupancySampler(env, h, interval=0)
-    sampler = TierOccupancySampler(env, h)
-    sampler.start()
-    sampler.start()  # no double process
-    sampler.stop()
-    sampler.stop()
