@@ -8,7 +8,7 @@ prefetcher-internal counters the analysis sections discuss.
 output and EXPERIMENTS.md.
 """
 
-from repro.metrics.collector import MetricsCollector, RunResult, summarize_repeats
+from repro.metrics.collector import MetricsCollector, RunResult
 from repro.metrics.report import format_table, format_run_results
 
 __all__ = [
@@ -16,5 +16,4 @@ __all__ = [
     "RunResult",
     "format_run_results",
     "format_table",
-    "summarize_repeats",
 ]

@@ -11,13 +11,11 @@ the burst buffers and served from RAM/NVMe.
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from statistics import mean, pvariance
-from typing import Iterable, Optional
+from typing import Optional
 
-__all__ = ["MetricsCollector", "RunResult", "summarize_repeats"]
+__all__ = ["MetricsCollector", "RunResult"]
 
 
 @dataclass
@@ -184,27 +182,3 @@ class MetricsCollector:
             faults=dict(faults if faults is not None else self.faults),
         )
 
-
-def summarize_repeats(results: Iterable[RunResult]) -> dict:
-    """Mean and variance across repeated runs (the paper reports both).
-
-    All results must describe the same (solution, workload) pair.
-    """
-    results = list(results)
-    if not results:
-        raise ValueError("no results to summarise")
-    solutions = {r.solution for r in results}
-    workloads = {r.workload for r in results}
-    if len(solutions) != 1 or len(workloads) != 1:
-        raise ValueError("summarise repeats of a single (solution, workload) pair")
-    times = [r.end_to_end_time for r in results]
-    hit_ratios = [r.hit_ratio for r in results]
-    return {
-        "solution": results[0].solution,
-        "workload": results[0].workload,
-        "repeats": len(results),
-        "time_mean_s": mean(times),
-        "time_var": pvariance(times) if len(times) > 1 else 0.0,
-        "hit_ratio_mean": mean(hit_ratios),
-        "hit_ratio_var": pvariance(hit_ratios) if len(hit_ratios) > 1 else 0.0,
-    }

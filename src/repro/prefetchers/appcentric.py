@@ -30,11 +30,11 @@ buffers" (§V-d).
 from __future__ import annotations
 
 from collections import deque
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
-from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.runtime.context import ReadPlan
 from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
@@ -157,14 +157,8 @@ class AppCentricPrefetcher(Prefetcher):
 
     # -- runner hooks -----------------------------------------------------------
     def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None
         part = self._partition_of(pid)
-        if part is not None:
-            pool = part.lookup(key)
-            if pool is not None:
-                pool.touch(key)
-                return ReadPlan(tier=pool.tier)
-        return self.ctx.origin_plan(key.file_id)
+        return self._plan(part.lookup(key) if part is not None else None, key)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None
@@ -222,22 +216,9 @@ class AppCentricPrefetcher(Prefetcher):
             if other is not part and other.known(key):
                 self.redundant_prefetches += 1
                 break
-        nbytes = self.ctx.segment_bytes(key)
-        if nbytes == 0:
-            return
-        pool = part.pick_pool(nbytes)
-        if pool is None or not pool.begin_fetch(key, nbytes):
-            return
-        self.ctx.env.process(self._fetch(pool, key, nbytes), name="appcentric-fetch")
-
-    def _fetch(self, pool: ManagedCache, key: SegmentKey, nbytes: int) -> Generator:
-        assert self.ctx is not None
-        src = self.ctx.origin_tier(key.file_id)
-        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
-        yield from pool.tier.write(nbytes, priority=pool.tier.pipe.PREFETCH)
-        pool.commit_fetch(key)
-        self.bytes_prefetched += nbytes
-        self.prefetch_ops += 1
+        pool = part.pick_pool(self.ctx.segment_bytes(key))
+        if pool is not None:
+            self._start_fetch(pool, key)
 
     # -- accounting -------------------------------------------------------------
     @property

@@ -24,16 +24,16 @@ hardware — the interference the paper's figures hinge on.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Generator, Optional
 
+from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan, RuntimeContext
 from repro.storage.segments import SegmentKey
 
 __all__ = ["Prefetcher"]
 
 
-class Prefetcher(ABC):
+class Prefetcher:
     """Base class of all evaluated solutions."""
 
     #: Display name used in result tables.
@@ -41,9 +41,10 @@ class Prefetcher(ABC):
 
     def __init__(self) -> None:
         self.ctx: Optional[RuntimeContext] = None
+        #: the solution's own RAM prefetch cache, if it keeps a single one
+        self.cache: Optional[ManagedCache] = None
         self.bytes_prefetched = 0
         self.prefetch_ops = 0
-        self.evictions = 0
 
     # -- lifecycle -------------------------------------------------------------
     def attach(self, ctx: RuntimeContext) -> None:
@@ -65,9 +66,10 @@ class Prefetcher(ABC):
     def on_open(self, pid: int, node: int, file_id: str) -> None:
         """A process opened ``file_id`` for reading."""
 
-    @abstractmethod
     def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        """Serving plan for one segment read (called before the read)."""
+        """Serving plan for one segment read (called before the read):
+        the managed cache on a hit, else the file's origin."""
+        return self._plan(self.cache, key)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         """A read completed (called after the read is served)."""
@@ -83,13 +85,14 @@ class Prefetcher(ABC):
     # -- accounting -------------------------------------------------------------
     @property
     def ram_peak_bytes(self) -> float:
-        """Peak bytes this solution held in the RAM tier."""
-        if self.ctx is None:
-            return 0.0
-        try:
-            return float(self.ctx.hierarchy.by_name("RAM").peak_used)
-        except KeyError:
-            return 0.0
+        """Peak bytes this solution's own cache held in RAM (the runner
+        reports the larger of this and the hierarchy's RAM ledger)."""
+        return float(self.cache.peak_used) if self.cache is not None else 0.0
+
+    @property
+    def cache_evictions(self) -> int:
+        """Evictions performed by the solution's own cache."""
+        return self.cache.evictions if self.cache is not None else 0
 
     def profile_cost(self) -> float:
         """Extra offline cost (seconds) charged outside the run.
@@ -99,20 +102,36 @@ class Prefetcher(ABC):
         """
         return 0.0
 
-    # -- helpers shared by client-pull baselines -------------------------------------
-    def _fetch_into(self, key: SegmentKey, tier, src_tier) -> None:
-        """Background process: move one segment src → tier (charged I/O)."""
+    # -- the ManagedCache protocol shared by client-pull baselines ------------------
+    def _plan(self, cache: Optional[ManagedCache], key: SegmentKey) -> ReadPlan:
+        """Serve ``key`` from ``cache`` on a hit (LRU bump), else from its origin."""
         assert self.ctx is not None
-        ctx = self.ctx
+        if cache is not None and cache.ready(key):
+            cache.touch(key)
+            return ReadPlan(tier=cache.tier)
+        return self.ctx.origin_plan(key.file_id)
 
-        def mover():
-            nbytes = ctx.segment_bytes(key)
-            yield from src_tier.read(nbytes)
-            yield from tier.write(nbytes, priority=tier.pipe.PREFETCH)
-            self.bytes_prefetched += nbytes
-            self.prefetch_ops += 1
+    def _start_fetch(self, cache: ManagedCache, key: SegmentKey) -> bool:
+        """Reserve room for ``key`` in ``cache`` and start its origin fetch;
+        False when it is known already, empty, or cannot fit."""
+        assert self.ctx is not None
+        if cache.known(key):
+            return False
+        nbytes = self.ctx.segment_bytes(key)
+        if nbytes == 0 or not cache.begin_fetch(key, nbytes):
+            return False
+        self.ctx.env.process(self._fetch(cache, key, nbytes), name=f"{self.name}-fetch")
+        return True
 
-        ctx.env.process(mover(), name=f"prefetch-{self.name}")
+    def _fetch(self, cache: ManagedCache, key: SegmentKey, nbytes: int) -> Generator:
+        """Background process: origin → cache tier at prefetch priority."""
+        assert self.ctx is not None
+        src = self.ctx.origin_tier(key.file_id)
+        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
+        yield from cache.tier.write(nbytes, priority=cache.tier.pipe.PREFETCH)
+        cache.commit_fetch(key)
+        self.bytes_prefetched += nbytes
+        self.prefetch_ops += 1
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<{type(self).__name__} {self.name!r}>"

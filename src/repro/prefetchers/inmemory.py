@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import defaultdict
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
@@ -86,12 +86,7 @@ class InMemoryOptimalPrefetcher(Prefetcher):
 
     # -- runner hooks ----------------------------------------------------------------
     def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None
-        cache = self._caches.get(pid)
-        if cache is not None and cache.ready(key):
-            cache.touch(key)
-            return ReadPlan(tier=cache.tier)
-        return self.ctx.origin_plan(key.file_id)
+        return self._plan(self._caches.get(pid), key)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None
@@ -108,22 +103,8 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         for key in trace[cursor : cursor + 4 * self.window]:
             if launched >= self.window:
                 break
-            if cache.known(key):
-                continue
-            nbytes = self.ctx.segment_bytes(key)
-            if nbytes == 0 or not cache.begin_fetch(key, nbytes):
-                continue
-            self.ctx.env.process(self._fetch(cache, key, nbytes), name="inmem-opt-fetch")
-            launched += 1
-
-    def _fetch(self, cache: ManagedCache, key: SegmentKey, nbytes: int) -> Generator:
-        assert self.ctx is not None
-        src = self.ctx.origin_tier(key.file_id)
-        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
-        yield from cache.tier.write(nbytes, priority=cache.tier.pipe.PREFETCH)
-        cache.commit_fetch(key)
-        self.bytes_prefetched += nbytes
-        self.prefetch_ops += 1
+            if self._start_fetch(cache, key):
+                launched += 1
 
     # -- accounting ---------------------------------------------------------------------
     @property
@@ -147,20 +128,12 @@ class InMemoryNaivePrefetcher(Prefetcher):
             raise ValueError("window must be >= 1")
         self.window = window
         self.ram_budget = ram_budget
-        self.cache: Optional[ManagedCache] = None
 
     def attach(self, ctx: RuntimeContext) -> None:
         super().attach(ctx)
         ram = ctx.hierarchy.by_name("RAM")
         budget = self.ram_budget if self.ram_budget is not None else ram.capacity
         self.cache = ManagedCache(ram, budget)
-
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None and self.cache is not None
-        if self.cache.ready(key):
-            self.cache.touch(key)
-            return ReadPlan(tier=self.cache.tier)
-        return self.ctx.origin_plan(key.file_id)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None and self.cache is not None
@@ -174,28 +147,4 @@ class InMemoryNaivePrefetcher(Prefetcher):
             idx = last + ahead
             if idx >= f.num_segments:
                 break
-            key = SegmentKey(file_id, idx)
-            if self.cache.known(key):
-                continue
-            nbytes = self.ctx.segment_bytes(key)
-            if nbytes == 0 or not self.cache.begin_fetch(key, nbytes):
-                continue
-            self.ctx.env.process(self._fetch(key, nbytes), name="inmem-naive-fetch")
-
-    def _fetch(self, key: SegmentKey, nbytes: int) -> Generator:
-        assert self.ctx is not None and self.cache is not None
-        src = self.ctx.origin_tier(key.file_id)
-        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
-        yield from self.cache.tier.write(nbytes, priority=self.cache.tier.pipe.PREFETCH)
-        self.cache.commit_fetch(key)
-        self.bytes_prefetched += nbytes
-        self.prefetch_ops += 1
-
-    @property
-    def ram_peak_bytes(self) -> float:
-        return float(self.cache.peak_used) if self.cache is not None else 0.0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Evictions (pollution) in the shared cache."""
-        return self.cache.evictions if self.cache is not None else 0
+            self._start_fetch(self.cache, SegmentKey(file_id, idx))

@@ -22,13 +22,12 @@ the comparison conservative in KnowAc's favour.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import defaultdict
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
-from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.runtime.context import RuntimeContext
 from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
@@ -46,7 +45,7 @@ class KnowAcPrefetcher(Prefetcher):
             raise ValueError("window must be >= 1")
         self.window = window
         self.ram_budget = ram_budget
-        self.cache: Optional[ManagedCache] = None
+        self._eff_window = window
         self._traces: dict[int, list[SegmentKey]] = {}
         self._cursor: dict[int, int] = {}
         # global next-use structure for far-future eviction
@@ -79,8 +78,6 @@ class KnowAcPrefetcher(Prefetcher):
             seg = max(1, self.ctx.fs.default_segment_size)
             slots = int(self.cache.budget // seg)
             self._eff_window = max(1, min(self.window, slots // (2 * workload.num_processes) or 1))
-        else:
-            self._eff_window = self.window
 
     def _estimate_profile_cost(self, workload: WorkloadSpec) -> float:
         """Uncontended time of one tracing pass over all reads."""
@@ -126,13 +123,6 @@ class KnowAcPrefetcher(Prefetcher):
         return soonest
 
     # -- runner hooks -------------------------------------------------------------------
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None and self.cache is not None
-        if self.cache.ready(key):
-            self.cache.touch(key)
-            return ReadPlan(tier=self.cache.tier)
-        return self.ctx.origin_plan(key.file_id)
-
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None and self.cache is not None
         trace = self._traces.get(pid)
@@ -143,36 +133,13 @@ class KnowAcPrefetcher(Prefetcher):
         self._cursor[pid] = min(len(trace), self._cursor.get(pid, 0) + consumed)
         cursor = self._cursor[pid]
         launched = 0
-        window = getattr(self, "_eff_window", self.window)
+        window = self._eff_window
         for key in trace[cursor : cursor + 4 * window]:
             if launched >= window:
                 break
-            if self.cache.known(key):
-                continue
-            nbytes = self.ctx.segment_bytes(key)
-            if nbytes == 0 or not self.cache.begin_fetch(key, nbytes):
-                continue
-            self.ctx.env.process(self._fetch(key, nbytes), name="knowac-fetch")
-            launched += 1
-
-    def _fetch(self, key: SegmentKey, nbytes: int) -> Generator:
-        assert self.ctx is not None and self.cache is not None
-        src = self.ctx.origin_tier(key.file_id)
-        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
-        yield from self.cache.tier.write(nbytes, priority=self.cache.tier.pipe.PREFETCH)
-        self.cache.commit_fetch(key)
-        self.bytes_prefetched += nbytes
-        self.prefetch_ops += 1
+            if self._start_fetch(self.cache, key):
+                launched += 1
 
     # -- accounting -----------------------------------------------------------------------
     def profile_cost(self) -> float:
         return self._profile_cost
-
-    @property
-    def ram_peak_bytes(self) -> float:
-        return float(self.cache.peak_used) if self.cache is not None else 0.0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Evictions in the staging cache."""
-        return self.cache.evictions if self.cache is not None else 0

@@ -9,8 +9,6 @@ the reference every figure normalises against.
 from __future__ import annotations
 
 from repro.prefetchers.base import Prefetcher
-from repro.runtime.context import ReadPlan
-from repro.storage.segments import SegmentKey
 
 __all__ = ["NoPrefetcher"]
 
@@ -19,7 +17,3 @@ class NoPrefetcher(Prefetcher):
     """Reads go to the origin; nothing is ever moved."""
 
     name = "None"
-
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None
-        return self.ctx.origin_plan(key.file_id)

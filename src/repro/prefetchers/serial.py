@@ -19,7 +19,7 @@ from typing import Generator, Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
-from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.runtime.context import RuntimeContext
 from repro.sim.core import Interrupt, Process
 from repro.sim.resources import Store
 from repro.storage.segments import SegmentKey
@@ -47,7 +47,6 @@ class SerialPrefetcher(Prefetcher):
         self.window = window
         self.ram_budget = ram_budget
         self.batch_segments = batch_segments
-        self.cache: Optional[ManagedCache] = None
         self._queue: Optional[Store] = None
         self._queued: set[SegmentKey] = set()
         self._procs: list[Process] = []
@@ -75,13 +74,6 @@ class SerialPrefetcher(Prefetcher):
         self._procs.clear()
 
     # -- runner hooks -------------------------------------------------------------
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None and self.cache is not None
-        if self.cache.ready(key):
-            self.cache.touch(key)
-            return ReadPlan(tier=self.cache.tier)
-        return self.ctx.origin_plan(key.file_id)
-
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None and self._queue is not None
         f = self.ctx.fs.get(file_id)
@@ -151,13 +143,3 @@ class SerialPrefetcher(Prefetcher):
                 self.prefetch_ops += 1
         except Interrupt:
             return
-
-    # -- accounting ---------------------------------------------------------------------
-    @property
-    def ram_peak_bytes(self) -> float:
-        return float(self.cache.peak_used) if self.cache is not None else 0.0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Evictions performed by the managed cache."""
-        return self.cache.evictions if self.cache is not None else 0

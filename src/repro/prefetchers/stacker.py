@@ -18,11 +18,11 @@ relative to the history-based KnowAc.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Generator, Optional
+from typing import Optional
 
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
-from repro.runtime.context import ReadPlan, RuntimeContext
+from repro.runtime.context import RuntimeContext
 from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
@@ -49,7 +49,7 @@ class StackerPrefetcher(Prefetcher):
         self.ram_budget = ram_budget
         #: transitions observed at least this many times are trusted
         self.min_confidence = min_confidence
-        self.cache: Optional[ManagedCache] = None
+        self._eff_window = window
         # transitions are learned along each *rank's* stream (interleaving
         # many ranks into one stream would corrupt the chains) but stored
         # in one shared model, as Stacker's staging engine is per-node
@@ -76,17 +76,8 @@ class StackerPrefetcher(Prefetcher):
             seg = max(1, self.ctx.fs.default_segment_size)
             slots = int(self.cache.budget // seg)
             self._eff_window = max(1, min(self.window, slots // (2 * workload.num_processes) or 1))
-        else:
-            self._eff_window = self.window
 
     # -- runner hooks ------------------------------------------------------------
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
-        assert self.ctx is not None and self.cache is not None
-        if self.cache.ready(key):
-            self.cache.touch(key)
-            return ReadPlan(tier=self.cache.tier)
-        return self.ctx.origin_plan(key.file_id)
-
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
         assert self.ctx is not None
         f = self.ctx.fs.get(file_id)
@@ -104,13 +95,13 @@ class StackerPrefetcher(Prefetcher):
         self._last[stream_key] = keys[-1]
         # predict the successor chain of the last accessed segment
         current = keys[-1]
-        for _hop in range(getattr(self, "_eff_window", self.window)):
+        for _hop in range(self._eff_window):
             nxt = self._predict(current)
             if nxt is None:
                 self.cold_misses += 1
                 break
             self.predictions += 1
-            self._prefetch(nxt)
+            self._start_fetch(self.cache, nxt)
             current = nxt
 
     def _predict(self, key: SegmentKey) -> Optional[SegmentKey]:
@@ -121,31 +112,3 @@ class StackerPrefetcher(Prefetcher):
         if count < self.min_confidence:
             return None
         return nxt
-
-    def _prefetch(self, key: SegmentKey) -> None:
-        assert self.ctx is not None and self.cache is not None
-        if self.cache.known(key):
-            return
-        nbytes = self.ctx.segment_bytes(key)
-        if nbytes == 0 or not self.cache.begin_fetch(key, nbytes):
-            return
-        self.ctx.env.process(self._fetch(key, nbytes), name="stacker-fetch")
-
-    def _fetch(self, key: SegmentKey, nbytes: int) -> Generator:
-        assert self.ctx is not None and self.cache is not None
-        src = self.ctx.origin_tier(key.file_id)
-        yield from src.read(nbytes, priority=src.pipe.PREFETCH)
-        yield from self.cache.tier.write(nbytes, priority=self.cache.tier.pipe.PREFETCH)
-        self.cache.commit_fetch(key)
-        self.bytes_prefetched += nbytes
-        self.prefetch_ops += 1
-
-    # -- accounting --------------------------------------------------------------
-    @property
-    def ram_peak_bytes(self) -> float:
-        return float(self.cache.peak_used) if self.cache is not None else 0.0
-
-    @property
-    def cache_evictions(self) -> int:
-        """Conflict evictions in the staging cache."""
-        return self.cache.evictions if self.cache is not None else 0

@@ -1,10 +1,12 @@
-"""Shared plumbing for the client-pull baseline prefetchers.
+"""The one cache every client-pull baseline prefetcher keeps.
 
 All baselines manage their *own* prefetching cache (that is exactly the
 application-centric design the paper critiques), so residency lives in a
 :class:`ManagedCache` here rather than in the shared hierarchy ledger
-HFetch uses.  I/O is still charged against the shared tier devices and
-the origin tiers, so baselines and HFetch contend for the same simulated
+HFetch uses.  Replacement is LRU, or a victim chooser for the clairvoyant
+baselines.  I/O is still charged against the shared tier devices and the
+origin tiers (by :class:`~repro.prefetchers.base.Prefetcher`'s shared
+fetch body), so baselines and HFetch contend for the same simulated
 hardware.
 """
 

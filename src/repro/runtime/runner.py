@@ -169,8 +169,7 @@ class WorkflowRunner:
             end_to_end_time=end_time - start_time,
             bytes_prefetched=self.prefetcher.bytes_prefetched,
             ram_peak_bytes=ram_peak,
-            evictions=self.ctx.hierarchy.evictions
-            + int(getattr(self.prefetcher, "cache_evictions", 0)),
+            evictions=self.ctx.hierarchy.evictions + self.prefetcher.cache_evictions,
             extra=extra,
         )
         return result

@@ -35,24 +35,16 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.pipes import BandwidthPipe, TransferStats
-from repro.sim.resources import (
-    Container,
-    PreemptionError,
-    PriorityResource,
-    Resource,
-    Store,
-)
+from repro.sim.resources import PriorityResource, Resource, Store
 from repro.sim.rng import SeededStream, split_seed
 
 __all__ = [
     "AllOf",
     "AnyOf",
     "BandwidthPipe",
-    "Container",
     "Environment",
     "Event",
     "Interrupt",
-    "PreemptionError",
     "PriorityResource",
     "Process",
     "Resource",

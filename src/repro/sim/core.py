@@ -132,14 +132,6 @@ class Event:
         self.env._schedule(self, delay=delay)
         return self
 
-    def trigger(self, other: "Event") -> None:
-        """Mirror the outcome of another (already fired) event."""
-        if other._ok:
-            self.succeed(other._value)
-        else:
-            self._defused = True
-            self.fail(other._value)
-
     # -- internal ------------------------------------------------------
     def _run_callbacks(self) -> None:
         self._processed = True

@@ -8,7 +8,6 @@ These model shared hardware and software resources:
   priority (lower value served first; FIFO within a priority).
 * :class:`Store` — an unbounded-or-bounded FIFO of items (the HFetch event
   queue between the inotify producers and the hardware-monitor daemons).
-* :class:`Container` — a continuous level (capacity ledgers, credit pools).
 
 All primitives are fair and deterministic: waiters are served in the order
 they asked.
@@ -24,16 +23,10 @@ from typing import Any
 from repro.sim.core import NORMAL, Environment, Event, SimulationError
 
 __all__ = [
-    "PreemptionError",
     "Resource",
     "PriorityResource",
     "Store",
-    "Container",
 ]
-
-
-class PreemptionError(Exception):
-    """Raised inside a request that lost its slot (reserved for future use)."""
 
 
 class _Request(Event):
@@ -328,79 +321,3 @@ class Store:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Store level={self.level}/{self.capacity}>"
-
-
-class _ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class _ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous level between 0 and ``capacity``.
-
-    Used for byte-capacity ledgers where fractional amounts and blocking
-    semantics are both needed.
-    """
-
-    def __init__(self, env: Environment, capacity: float = float("inf"), init: float = 0.0):
-        if capacity <= 0:
-            raise SimulationError("container capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise SimulationError("initial level out of range")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._putters: deque[_ContainerPut] = deque()
-        self._getters: deque[_ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        """Current amount held."""
-        return self._level
-
-    def put(self, amount: float) -> _ContainerPut:
-        """Add ``amount``; fires when it fits."""
-        if amount < 0:
-            raise SimulationError("cannot put a negative amount")
-        ev = _ContainerPut(self.env, amount)
-        self._putters.append(ev)
-        self._balance()
-        return ev
-
-    def get(self, amount: float) -> _ContainerGet:
-        """Remove ``amount``; fires when available."""
-        if amount < 0:
-            raise SimulationError("cannot get a negative amount")
-        ev = _ContainerGet(self.env, amount)
-        self._getters.append(ev)
-        self._balance()
-        return ev
-
-    def _balance(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._putters and self._level + self._putters[0].amount <= self.capacity:
-                put = self._putters.popleft()
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._getters and self._level >= self._getters[0].amount:
-                get = self._getters.popleft()
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progress = True
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Container level={self._level}/{self.capacity}>"

@@ -9,17 +9,11 @@ ordered :class:`~repro.storage.hierarchy.StorageHierarchy` with an
 paper §III-D / §V-a).
 
 Also provides the file/segment vocabulary (:mod:`repro.storage.segments`,
-:mod:`repro.storage.files`) and the classic cache-replacement policies
-(:mod:`repro.storage.cache`) the baseline prefetchers are built from.
+:mod:`repro.storage.files`).  The baseline prefetchers keep their own
+caches in :class:`repro.prefetchers.util.ManagedCache`, charging their
+I/O against these tiers.
 """
 
-from repro.storage.cache import (
-    BeladyCache,
-    CachePolicy,
-    LFUCache,
-    LRFUCache,
-    LRUCache,
-)
 from repro.storage.devices import (
     BURST_BUFFER,
     DRAM,
@@ -40,14 +34,9 @@ from repro.storage.tier import StorageTier
 
 __all__ = [
     "BURST_BUFFER",
-    "BeladyCache",
-    "CachePolicy",
     "DRAM",
     "DeviceProfile",
     "FileSystemModel",
-    "LFUCache",
-    "LRFUCache",
-    "LRUCache",
     "NVME",
     "PFS_DISK",
     "SegmentKey",

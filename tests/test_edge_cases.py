@@ -6,14 +6,12 @@ from repro.core.config import HFetchConfig
 from repro.core.prefetcher import HFetchPrefetcher
 from repro.dhm.hashmap import DistributedHashMap
 from repro.dhm.wal import WriteAheadLog
-from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster, TierSpec
 from repro.runtime.context import ReadPlan
 from repro.runtime.runner import WorkflowRunner, run_workload
 from repro.sim.core import Environment
 from repro.storage.devices import DRAM, NVME
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import FileDecl, ProcessSpec, ReadOp, StepSpec, WorkloadSpec
 
 MB = 1 << 20
@@ -74,26 +72,6 @@ def test_hfetch_detach_stops_background_processes():
     WorkflowRunner(cluster, wl, pf).run()
     assert not pf.server.monitor.running
     assert not pf.server.started
-
-
-def test_prefetcher_base_fetch_into_helper():
-    cluster = SimulatedCluster(ClusterSpec().scaled_for(4))
-    ctx = cluster.context()
-    ctx.fs.create("/f", 4 * MB)
-
-    class Minimal(Prefetcher):
-        name = "minimal"
-
-        def plan_read(self, pid, node, key):
-            return ctx.origin_plan(key.file_id)
-
-    pf = Minimal()
-    pf.attach(ctx)
-    ram = ctx.hierarchy.by_name("RAM")
-    pf._fetch_into(SegmentKey("/f", 0), ram, ctx.hierarchy.backing)
-    ctx.env.run(until=1.0)
-    assert pf.bytes_prefetched == MB
-    assert pf.prefetch_ops == 1
 
 
 def test_read_plan_defaults():

@@ -12,8 +12,8 @@ from repro.core.stats import SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
 from repro.dhm.partition import KeyPartitioner
 from repro.dhm.wal import WriteAheadLog
+from repro.prefetchers.util import ManagedCache
 from repro.sim.core import Environment
-from repro.storage.cache import BeladyCache, LFUCache, LRFUCache, LRUCache
 from repro.storage.devices import DRAM, NVME, PFS_DISK
 from repro.storage.hierarchy import StorageHierarchy, TierFullError
 from repro.storage.segments import (
@@ -113,45 +113,53 @@ def test_stats_record_keeps_window_sorted_enough(times):
 cache_traces = st.lists(st.integers(0, 15), min_size=1, max_size=200)
 
 
+def demand_cache(cap, victim_chooser=None):
+    """A ManagedCache of ``cap`` unit-sized entries."""
+    return ManagedCache(StorageTier(Environment(), DRAM, 64), cap, victim_chooser)
+
+
+def demand_access(cache, key) -> bool:
+    """Serve ``key`` on demand: a hit bumps it, a miss fetches it in."""
+    if cache.ready(key):
+        cache.touch(key)
+        return True
+    cache.begin_fetch(key, 1)
+    cache.commit_fetch(key)
+    return False
+
+
 @given(trace=cache_traces, cap=st.integers(1, 8))
 def test_lru_capacity_and_inclusion(trace, cap):
-    c = LRUCache(cap)
+    c = demand_cache(cap)
     for k in trace:
-        c.access(k)
-        assert len(c) <= cap
-        assert k in c  # just-accessed key is always resident
-
-
-@given(trace=cache_traces, cap=st.integers(1, 8), lam=st.floats(0.01, 1.0))
-def test_lrfu_capacity_and_inclusion(trace, cap, lam):
-    c = LRFUCache(cap, lam=lam)
-    for k in trace:
-        c.access(k)
-        assert len(c) <= cap
-        assert k in c
+        demand_access(c, k)
+        assert c.used <= cap
+        assert c.ready(k)  # just-accessed key is always resident
 
 
 @given(trace=cache_traces, cap=st.integers(1, 8))
-def test_belady_dominates_lru_and_lfu(trace, cap):
-    bel = BeladyCache(cap, trace)
-    lru = LRUCache(cap)
-    lfu = LFUCache(cap)
-    for k in trace:
-        bel.access(k)
-        lru.access(k)
-        lfu.access(k)
-    assert bel.hits >= lru.hits
-    assert bel.hits >= lfu.hits
+def test_farthest_next_use_dominates_lru(trace, cap):
+    pos = 0
+
+    def next_use(key):
+        return trace.index(key, pos + 1) if key in trace[pos + 1 :] else len(trace)
+
+    belady = demand_cache(cap, lambda c: max(c.resident_keys(), key=next_use))
+    lru = demand_cache(cap)
+    bel_hits = lru_hits = 0
+    for pos, k in enumerate(trace):
+        bel_hits += demand_access(belady, k)
+        lru_hits += demand_access(lru, k)
+    assert bel_hits >= lru_hits
 
 
 @given(trace=cache_traces, cap=st.integers(1, 8))
 def test_bigger_lru_never_hurts(trace, cap):
-    small = LRUCache(cap)
-    large = LRUCache(cap + 4)
-    for k in trace:
-        small.access(k)
-        large.access(k)
-    assert large.hits >= small.hits  # LRU is a stack algorithm
+    small = demand_cache(cap)
+    large = demand_cache(cap + 4)
+    small_hits = sum(demand_access(small, k) for k in trace)
+    large_hits = sum(demand_access(large, k) for k in trace)
+    assert large_hits >= small_hits  # LRU is a stack algorithm
 
 
 # ------------------------------------------------------------------ hierarchy

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.metrics.collector import MetricsCollector, RunResult, summarize_repeats
+from repro.experiments.common import averaged_row
+from repro.metrics.collector import MetricsCollector, RunResult
 from repro.metrics.report import format_run_results, format_table
 from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster, TierSpec
@@ -132,25 +133,17 @@ def test_collector_miss_falls_back_to_serving_tier():
     assert m.tier_misses == {"BurstBuffer": 1}
 
 
-def test_summarize_repeats_mean_and_variance():
+def test_averaged_row_mean_and_variance():
     rows = [
         RunResult("X", "w", end_to_end_time=t, read_time=t, hit_ratio=h,
                   hits=0, misses=0, bytes_read=0, bytes_prefetched=0)
         for t, h in ((1.0, 0.5), (3.0, 0.7))
     ]
-    s = summarize_repeats(rows)
-    assert s["time_mean_s"] == 2.0
-    assert s["time_var"] == 1.0
-    assert s["hit_ratio_mean"] == pytest.approx(0.6)
-
-
-def test_summarize_repeats_rejects_mixed_pairs():
-    a = RunResult("X", "w", 1, 1, 0, 0, 0, 0, 0)
-    b = RunResult("Y", "w", 1, 1, 0, 0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        summarize_repeats([a, b])
-    with pytest.raises(ValueError):
-        summarize_repeats([])
+    row = averaged_row(rows)
+    assert row["time_s"] == 2.0
+    assert row["time_var"] == 1.0
+    assert row["hit_ratio_%"] == pytest.approx(60.0)
+    assert averaged_row(rows[:1])["time_var"] == 0.0
 
 
 def test_format_table_renders_all_columns():

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment, SimulationError
-from repro.sim.resources import Container, PriorityResource, Resource, Store
+from repro.sim.resources import PriorityResource, Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -380,64 +380,3 @@ def test_resource_wait_accounting_over_mixed_requests(cls):
     assert not held["d"].triggered
     assert [held[n].processed for n in "abcef"] == [True] * 5
     assert res.count == 2 and res.queued == 0
-
-
-# ----------------------------------------------------------------- Container
-def test_container_put_get_levels():
-    env = Environment()
-    c = Container(env, capacity=10, init=5)
-    c.get(3)
-    c.put(6)
-    assert c.level == 8
-
-
-def test_container_get_blocks_until_available():
-    env = Environment()
-    c = Container(env, capacity=10)
-    log = []
-
-    def taker(env):
-        yield c.get(5)
-        log.append(env.now)
-
-    def giver(env):
-        yield env.timeout(2)
-        yield c.put(5)
-
-    env.process(taker(env))
-    env.process(giver(env))
-    env.run()
-    assert log == [2.0]
-
-
-def test_container_put_blocks_when_over_capacity():
-    env = Environment()
-    c = Container(env, capacity=10, init=8)
-    log = []
-
-    def giver(env):
-        yield c.put(5)
-        log.append(env.now)
-
-    def taker(env):
-        yield env.timeout(4)
-        yield c.get(4)
-
-    env.process(giver(env))
-    env.process(taker(env))
-    env.run()
-    assert log == [4.0]
-
-
-def test_container_rejects_negative_amounts():
-    env = Environment()
-    c = Container(env, capacity=10)
-    with pytest.raises(SimulationError):
-        c.put(-1)
-    with pytest.raises(SimulationError):
-        c.get(-1)
-
-
-def test_container_init_bounds_checked():
-    with pytest.raises(SimulationError):
-        Container(Environment(), capacity=5, init=6)
