@@ -188,11 +188,6 @@ class HFetchConfig:
 
     # -- convenience -----------------------------------------------------------
     @property
-    def total_threads(self) -> int:
-        """Total server threads (the paper's tests fix this at 8)."""
-        return self.daemon_threads + self.engine_threads
-
-    @property
     def total_cache_bytes(self) -> float:
         """Aggregate prefetching-cache capacity across tiers."""
         return sum(b.capacity for b in self.tier_budgets)
@@ -210,11 +205,3 @@ class HFetchConfig:
         except KeyError:
             raise ValueError(f"reactiveness must be one of {sorted(thresholds)}") from None
         return replace(self, engine_update_threshold=threshold)
-
-    def with_thread_split(self, daemons: int, engines: int) -> "HFetchConfig":
-        """A daemon::engine split (Fig. 3(a) tests 2::6, 4::4, 6::2)."""
-        return replace(self, daemon_threads=daemons, engine_threads=engines)
-
-    def with_budgets(self, *budgets: TierBudget) -> "HFetchConfig":
-        """Replace the per-tier cache budgets."""
-        return replace(self, tier_budgets=tuple(budgets))

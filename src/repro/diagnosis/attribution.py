@@ -157,7 +157,7 @@ def replay(prov) -> ReplayResult:
     for ev in prov.events:
         tag = ev[0]
         if tag == EV_READ:
-            _t, t, sid, served, origin, hit, nbytes, pid = ev
+            _t, t, sid, served, origin, hit, nbytes, pid, _t0, _size = ev
             out.reads += 1
             st = states.get(sid)
             win = st.win if st is not None else None

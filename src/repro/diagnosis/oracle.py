@@ -53,7 +53,7 @@ def _reads(prov) -> list[tuple]:
     out = []
     for ev in prov.events:
         if ev[0] == EV_READ:
-            _tag, t, sid, served, origin, hit, nbytes, _pid = ev
+            _tag, t, sid, served, origin, hit, nbytes, _pid, _t0, _size = ev
             out.append((t, sid, idx(served), idx(origin), nbytes, hit))
     return out
 

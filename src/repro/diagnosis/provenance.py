@@ -62,7 +62,7 @@ class ProvenanceLog:
         (EV_MOVE_DONE,   t, did, sid, src, dst, nbytes, flow)
         (EV_MOVE_FAILED, t, did, sid, nbytes)
         (EV_EVICT,       t, sid, tier, cause)
-        (EV_READ,        t, sid, served, origin, hit, nbytes, pid)
+        (EV_READ,        t, sid, served, origin, hit, nbytes, pid, t0, size)
 
     ``did`` is a monotonically increasing decision id; ``rank`` is the
     segment's position in the engine pass's hotness-sorted plan (−1 for
@@ -72,6 +72,11 @@ class ProvenanceLog:
     (a ledger-only placement on the tier already serving the segment
     moves no bytes and therefore has no waste class).  ``flow`` is the
     segment's entry in :attr:`flow` when the record was made.
+
+    An ``EV_READ`` is one segment of a read request that started at
+    ``t0``, asked for ``size`` bytes and completed at ``t``; a request's
+    segments are recorded back to back.  It is the run's only per-read
+    record (the ``runner.read`` spans are derived from it).
 
     An eviction's ``cause`` ("evicted", "rejected", "invalidated",
     "displaced", "move-failed") is passed down explicitly by the caller
@@ -173,10 +178,12 @@ class ProvenanceLog:
         self._append((EV_EVICT, self.now, self.sid(key), tier, cause))
 
     def read(self, key, served: str, origin: str, hit: bool,
-             nbytes: int, pid: int) -> None:
-        """One application segment read and where it was served from."""
+             nbytes: int, pid: int, t0: float, size: int) -> None:
+        """One segment of a read request that started at ``t0`` and asked
+        for ``size`` bytes, and where the segment was served from."""
         self._append(
-            (EV_READ, self.now, self.sid(key), served, origin, hit, nbytes, pid)
+            (EV_READ, self.now, self.sid(key), served, origin, hit, nbytes, pid,
+             t0, size)
         )
 
     def snapshot(self, plan) -> None:

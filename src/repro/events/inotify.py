@@ -64,13 +64,6 @@ class SimInotify:
         if queue not in self._queues:
             self._queues.append(queue)
 
-    def unsubscribe(self, queue: EventQueue) -> None:
-        """Stop delivering to ``queue``."""
-        try:
-            self._queues.remove(queue)
-        except ValueError:
-            pass
-
     # -- watch management (paper: inotify_add_watch / inotify_rm_watch) -----
     def add_watch(self, file_id: str) -> Watch:
         """Install (or refcount-bump) a watch on ``file_id``."""
@@ -100,10 +93,6 @@ class SimInotify:
     def is_watched(self, file_id: str) -> bool:
         """Whether a live watch exists on ``file_id``."""
         return file_id in self._watches
-
-    def watch_of(self, file_id: str) -> Watch | None:
-        """The live watch record, if any."""
-        return self._watches.get(file_id)
 
     @property
     def active_watches(self) -> int:

@@ -41,11 +41,6 @@ class RunResult:
     extra: dict = field(default_factory=dict)
     faults: dict = field(default_factory=dict)
 
-    @property
-    def miss_ratio(self) -> float:
-        """1 − hit ratio."""
-        return 1.0 - self.hit_ratio
-
     def row(self, verbose: bool = False) -> dict:
         """Flat dict for table rendering.
 
@@ -85,12 +80,7 @@ class MetricsCollector:
         self.read_time = 0.0
         self.tier_hits: dict[str, int] = defaultdict(int)
         self.tier_misses: dict[str, int] = defaultdict(int)
-        self.per_process_time: dict[int, float] = defaultdict(float)
         self.per_process_reads: dict[int, int] = defaultdict(int)
-        self.per_app_hits: dict[str, int] = defaultdict(int)
-        self.per_app_misses: dict[str, int] = defaultdict(int)
-        self.first_read_at: Optional[float] = None
-        self.last_read_at: Optional[float] = None
         # fault / degradation accounting (chaos runs; empty otherwise)
         self.faults: dict[str, int] = defaultdict(int)
 
@@ -106,34 +96,25 @@ class MetricsCollector:
         nbytes: int,
         duration: float,
         hit: bool,
-        when: float,
-        app: str = "app",
-        origin_name: Optional[str] = None,
+        origin_name: str,
     ) -> None:
         """One segment read observation.
 
         A hit is counted against the *serving* tier (``tier_name``); a
         miss is counted against the file's *origin* tier
-        (``origin_name``, falling back to the serving tier when the
-        caller does not know the origin) — the attribution engine needs
-        the miss side keyed by where the bytes actually came from, and
-        the two maps together account for every read.
+        (``origin_name``) — the attribution engine needs the miss side
+        keyed by where the bytes actually came from, and the two maps
+        together account for every read.
         """
         if hit:
             self.hits += 1
-            self.per_app_hits[app] += 1
             self.tier_hits[tier_name] += 1
         else:
             self.misses += 1
-            self.per_app_misses[app] += 1
-            self.tier_misses[origin_name if origin_name is not None else tier_name] += 1
+            self.tier_misses[origin_name] += 1
         self.bytes_read += nbytes
         self.read_time += duration
-        self.per_process_time[pid] += duration
         self.per_process_reads[pid] += 1
-        if self.first_read_at is None:
-            self.first_read_at = when
-        self.last_read_at = when
 
     # -- summaries --------------------------------------------------------------
     @property
@@ -146,11 +127,6 @@ class MetricsCollector:
         """Hits over total reads (0 when nothing read)."""
         total = self.total_reads
         return self.hits / total if total else 0.0
-
-    def app_hit_ratio(self, app: str) -> float:
-        """Hit ratio restricted to one application group."""
-        total = self.per_app_hits[app] + self.per_app_misses[app]
-        return self.per_app_hits[app] / total if total else 0.0
 
     def finalize(
         self,

@@ -68,28 +68,13 @@ class NodeCommunicator:
             name=f"fabric-{profile.name}",
         )
         # instrumentation
-        self.metadata_messages = 0
         self.data_transfers = 0
-        self.metadata_bytes = 0
         self.data_bytes = 0
 
     # -- metadata ------------------------------------------------------------
     def metadata_cost(self, nbytes: int = 64) -> float:
         """Uncontended cost of one metadata message."""
         return self.fabric.service_time(nbytes)
-
-    def send_metadata(self, src_node: int, dst_node: int, nbytes: int = 64) -> Generator:
-        """Process generator: one metadata round over the fabric.
-
-        Same-node messages are free (shared memory), matching the paper's
-        collocated HFetch server design.
-        """
-        if src_node == dst_node:
-            return 0.0
-        duration = yield from self.fabric.transfer(nbytes)
-        self.metadata_messages += 1
-        self.metadata_bytes += nbytes
-        return duration
 
     # -- bulk data -------------------------------------------------------------
     def bulk_transfer(self, src_node: int, dst_node: int, nbytes: int) -> Generator:
@@ -101,12 +86,8 @@ class NodeCommunicator:
         self.data_bytes += nbytes
         return duration
 
-    def remote_read_overhead(self, nbytes: int) -> float:
-        """Uncontended extra cost a remote tier adds over a local one."""
-        return self.fabric.service_time(nbytes)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<NodeCommunicator {self.profile.name} "
-            f"meta={self.metadata_messages} bulk={self.data_transfers}>"
+            f"bulk={self.data_transfers}>"
         )

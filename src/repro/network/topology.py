@@ -63,10 +63,6 @@ class ClusterTopology:
             if self.node_of_rank(r) == node % self.compute_nodes
         ]
 
-    def nodes_for_ranks(self, total_ranks: int) -> int:
-        """Number of compute nodes a job of ``total_ranks`` occupies."""
-        return min(self.compute_nodes, -(-total_ranks // self.cores_per_node))
-
     def scaled_to(self, ranks: int) -> "ClusterTopology":
         """A topology with just enough compute nodes for ``ranks``."""
         nodes = max(1, -(-ranks // self.cores_per_node))

@@ -123,6 +123,30 @@ class Prefetcher:
         self.ctx.env.process(self._fetch(cache, key, nbytes), name=f"{self.name}-fetch")
         return True
 
+    def _fleet_window(self, window: int, workload) -> int:
+        """A per-rank ``window`` capped so the whole fleet's in-flight
+        target fits ``self.cache`` (otherwise it evicts entries before
+        their readers arrive and thrashes)."""
+        if self.cache is None or self.ctx is None or not workload.num_processes:
+            return window
+        slots = int(self.cache.budget // max(1, self.ctx.fs.default_segment_size))
+        return max(1, min(window, slots // (2 * workload.num_processes) or 1))
+
+    def _fetch_ahead(self, cache: ManagedCache, pid: int, trace: list, cursors: dict,
+                     file_id: str, offset: int, size: int, window: int) -> None:
+        """Clairvoyant fetch-ahead along ``pid``'s segment ``trace``:
+        advance its cursor past the segments just read, then start up to
+        ``window`` fetches among the next ``4 * window`` accesses."""
+        assert self.ctx is not None
+        consumed = len(self.ctx.fs.get(file_id).read_segments(offset, size))
+        cursor = cursors[pid] = min(len(trace), cursors[pid] + consumed)
+        launched = 0
+        for key in trace[cursor : cursor + 4 * window]:
+            if launched >= window:
+                break
+            if self._start_fetch(cache, key):
+                launched += 1
+
     def _fetch(self, cache: ManagedCache, key: SegmentKey, nbytes: int) -> Generator:
         """Background process: origin → cache tier at prefetch priority."""
         assert self.ctx is not None

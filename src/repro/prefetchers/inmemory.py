@@ -89,22 +89,11 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         return self._plan(self._caches.get(pid), key)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
-        assert self.ctx is not None
         cache = self._caches.get(pid)
         trace = self._traces.get(pid)
-        if cache is None or trace is None:
-            return
-        f = self.ctx.fs.get(file_id)
-        consumed = len(f.read_segments(offset, size))
-        self._cursor[pid] = min(len(trace), self._cursor[pid] + consumed)
-        # clairvoyant fetch-ahead of the next ``window`` future accesses
-        cursor = self._cursor[pid]
-        launched = 0
-        for key in trace[cursor : cursor + 4 * self.window]:
-            if launched >= self.window:
-                break
-            if self._start_fetch(cache, key):
-                launched += 1
+        if cache is not None and trace is not None:
+            self._fetch_ahead(cache, pid, trace, self._cursor,
+                              file_id, offset, size, self.window)
 
     # -- accounting ---------------------------------------------------------------------
     @property

@@ -71,13 +71,7 @@ class KnowAcPrefetcher(Prefetcher):
             for i, key in enumerate(trace):
                 self._positions[key].append((proc.pid, i))
         self._profile_cost = self._estimate_profile_cost(workload)
-        # cap the per-rank fetch-ahead so the whole fleet's in-flight
-        # target fits the staging cache (otherwise it evicts entries
-        # before their readers arrive and thrashes)
-        if self.cache is not None and workload.num_processes:
-            seg = max(1, self.ctx.fs.default_segment_size)
-            slots = int(self.cache.budget // seg)
-            self._eff_window = max(1, min(self.window, slots // (2 * workload.num_processes) or 1))
+        self._eff_window = self._fleet_window(self.window, workload)
 
     def _estimate_profile_cost(self, workload: WorkloadSpec) -> float:
         """Uncontended time of one tracing pass over all reads."""
@@ -124,21 +118,11 @@ class KnowAcPrefetcher(Prefetcher):
 
     # -- runner hooks -------------------------------------------------------------------
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
-        assert self.ctx is not None and self.cache is not None
+        assert self.cache is not None
         trace = self._traces.get(pid)
-        if trace is None:
-            return
-        f = self.ctx.fs.get(file_id)
-        consumed = len(f.read_segments(offset, size))
-        self._cursor[pid] = min(len(trace), self._cursor.get(pid, 0) + consumed)
-        cursor = self._cursor[pid]
-        launched = 0
-        window = self._eff_window
-        for key in trace[cursor : cursor + 4 * window]:
-            if launched >= window:
-                break
-            if self._start_fetch(self.cache, key):
-                launched += 1
+        if trace is not None:
+            self._fetch_ahead(self.cache, pid, trace, self._cursor,
+                              file_id, offset, size, self._eff_window)
 
     # -- accounting -----------------------------------------------------------------------
     def profile_cost(self) -> float:

@@ -70,12 +70,8 @@ class StackerPrefetcher(Prefetcher):
     def on_workload(self, workload: WorkloadSpec) -> None:
         for proc in workload.processes:
             self._app_of_pid[proc.pid] = proc.app
-        # cap the prediction-chain depth so the fleet's aggregate
-        # in-flight target fits the staging cache
-        if self.cache is not None and workload.num_processes and self.ctx is not None:
-            seg = max(1, self.ctx.fs.default_segment_size)
-            slots = int(self.cache.budget // seg)
-            self._eff_window = max(1, min(self.window, slots // (2 * workload.num_processes) or 1))
+        # cap the prediction-chain depth
+        self._eff_window = self._fleet_window(self.window, workload)
 
     # -- runner hooks ------------------------------------------------------------
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:

@@ -69,17 +69,6 @@ class ClusterSpec:
             pfs_stripe_size=self.pfs_stripe_size,
         )
 
-    def with_tiers(self, *tiers: TierSpec) -> "ClusterSpec":
-        """Spec with a different cache layout."""
-        return ClusterSpec(
-            topology=self.topology,
-            tiers=tiers,
-            link=self.link,
-            default_segment_size=self.default_segment_size,
-            striped_pfs=self.striped_pfs,
-            pfs_stripe_size=self.pfs_stripe_size,
-        )
-
 
 class SimulatedCluster:
     """The instantiated machine: env + tiers + hierarchy + fabric + fs."""

@@ -12,7 +12,10 @@ Drives a :class:`~repro.workloads.spec.WorkloadSpec` against a
   segment request issues one transfer per serving tier), then reported
   back (``on_access``);
 * hits/misses, read times and the end-to-end makespan land in a
-  :class:`~repro.metrics.collector.RunResult`.
+  :class:`~repro.metrics.collector.RunResult`;
+* with telemetry on, each segment read is also one ``EV_READ`` in the
+  event log, the run's only per-read record; the ``runner.read`` spans
+  and ``read.latency_s`` are derived from it at finalize.
 
 The runner is prefetcher-agnostic: HFetch's entire server-push pipeline
 and the simplest no-prefetching baseline run under the identical loop.
@@ -58,35 +61,17 @@ class WorkflowRunner:
         self.injector: Optional[FaultInjector] = None
         self.metrics = MetricsCollector()
         tel = live(telemetry)
+        self.telemetry = tel
         if tel is not None:
             tel.bind(cluster.env)
-        self.telemetry = tel
-        self._h_read_latency = (
-            tel.registry.histogram("read.latency_s") if tel is not None else None
-        )
-        # one runner.read trace stream per application rank; the read
-        # latency histogram is folded from the streams at end of run
-        # (a read's latency is its span's end - start), so the per-read
-        # hot path pays one stream append and nothing else
-        self._read_marks: dict = {}
-        if tel is not None:
-            read_streams = {
-                p.pid: tel.tracer.stream(
+            # views the handle fills from EV_READ at finalize, registered
+            # here so track ids and record order are as if recorded live
+            tel.registry.histogram("read.latency_s")
+            for p in workload.processes:
+                tel.tracer.stream(
                     "runner.read", "app", f"rank-{p.pid}",
                     kind="span", fields=("file", "bytes"),
                 )
-                for p in workload.processes
-            }
-            self._read_marks = {p: s.append for p, s in read_streams.items()}
-
-            def _fold_read_latency() -> None:
-                observe = self._h_read_latency.observe_many
-                for s in read_streams.values():
-                    buf = s.buf
-                    if buf:
-                        observe(e - t0 for t0, e in zip(buf[0::5], buf[1::5]))
-
-            tel.add_finalizer(_fold_read_latency)
         self.ctx: RuntimeContext = cluster.context(
             metrics=self.metrics, seed=seed, telemetry=tel
         )
@@ -268,10 +253,10 @@ class WorkflowRunner:
             if cross:
                 yield from ctx.comm.bulk_transfer(0, 1, nbytes)
         duration = env.now - t0
-        if self.telemetry is not None:
-            self._read_marks[spec.pid]((t0, env.now, None, op.file_id, op.size))
 
-        # per-segment accounting (duration attributed proportionally)
+        # per-segment accounting (duration attributed proportionally);
+        # the loop does not yield, so a request's EV_READ records are
+        # contiguous in the event log
         total = sum(n for _k, _t, n in per_segment) or 1
         origin_name = ctx.origin_tier(f).name
         prov = self._prov
@@ -283,12 +268,10 @@ class WorkflowRunner:
                 nbytes=nbytes,
                 duration=duration * (nbytes / total),
                 hit=hit,
-                when=env.now,
-                app=spec.app,
                 origin_name=origin_name,
             )
             if prov is not None:
-                prov.read(key, tier.name, origin_name, hit, nbytes, spec.pid)
+                prov.read(key, tier.name, origin_name, hit, nbytes, spec.pid, t0, op.size)
         self.prefetcher.on_access(spec.pid, node, op.file_id, op.offset, op.size)
 
     # -- helpers -----------------------------------------------------------------------

@@ -136,22 +136,6 @@ class BandwidthPipe:
         self.stats.wait_time += waited
         return duration
 
-    def estimate_backlog(self) -> float:
-        """Rough virtual-seconds of work ahead of a new request.
-
-        Used by prefetcher heuristics that want to avoid piling onto an
-        already saturated device (timeliness, paper §I).
-        """
-        # Each queued/in-flight transfer is assumed to be "average sized"
-        # based on history; with no history fall back to a nominal
-        # one-unit transfer so a non-empty queue never estimates zero.
-        if self.stats.transfers:
-            avg = self.stats.busy_time / self.stats.transfers
-        else:
-            avg = self.latency + 1.0 / self.bandwidth
-        outstanding = self.queued + self.in_flight
-        return outstanding * avg / max(1, self.channels)
-
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<BandwidthPipe {self.name} lat={self.latency:g}s "

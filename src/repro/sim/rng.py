@@ -78,10 +78,6 @@ class SeededStream:
         """A random permutation of ``range(n)``."""
         return self._gen.permutation(n)
 
-    def integers_array(self, low: int, high: int, size: int) -> np.ndarray:
-        """An array of ints drawn from ``[low, high)``."""
-        return self._gen.integers(low, high, size=size)
-
     def spawn(self, sublabel: str) -> "SeededStream":
         """Create a child stream with a derived label."""
         return SeededStream(self.root_seed, f"{self.label}/{sublabel}")

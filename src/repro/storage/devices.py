@@ -63,10 +63,6 @@ class DeviceProfile:
             raise ValueError(f"device count must be >= 1, got {count}")
         return replace(self, channels=self.channels * count)
 
-    def uncontended_time(self, nbytes: int) -> float:
-        """Service time of a single transfer with no queueing."""
-        return self.latency + nbytes / self.bandwidth
-
     def __str__(self) -> str:
         return self.name
 

@@ -30,7 +30,6 @@ and no benchmark gate checks it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional
@@ -154,14 +153,15 @@ class Telemetry:
         self._finalizers.append(fn)
 
     def finalize(self) -> None:
-        """Fill the views and run registered finalizers (idempotent; the
-        runner calls this)."""
+        """Fill the views, settle the retention cap and run registered
+        finalizers (idempotent; the runner calls this)."""
         if self._finalized:
             return
         self._finalized = True
         if self.tracer is not None:
             self.tracer.enforce_caps()
             self._fill_views()
+            self.tracer.settle_cap()
         for fn in self._finalizers:
             fn()
 
@@ -169,41 +169,53 @@ class Telemetry:
         """Fill the streams that are views of other records.
 
         The layers register them where they bind, so track ids and record
-        order are as if recorded live.  ``engine.place`` and
-        ``io.move_done`` come from the event log (a move's ``issued`` time
-        is its decision's) and ``dhm.update`` from the ``auditor.fold``
-        records; a view keeps what was recorded until the retention cap
-        froze the trace.  ``io.move_latency_s`` (whole log) is folded
-        here.
+        order are as if recorded live.  From the event log come
+        ``engine.place``, ``io.move_done`` (a move's ``issued`` time is
+        its decision's) and ``runner.read``: one span per request, from
+        its first ``EV_READ``.  A request's records are contiguous and
+        share ``pid`` and ``t0``, and a rank's next request starts after
+        its last one ended, so a change of either starts a request.
+        ``dhm.update`` repeats the ``auditor.fold`` records.
+        ``read.latency_s`` and ``io.move_latency_s`` are folded from the
+        whole log, before :meth:`SpanTracer.settle_cap` trims the views.
         """
-        from repro.diagnosis.provenance import EV_DECISION, EV_MOVE_DONE
+        from repro.diagnosis.provenance import EV_DECISION, EV_MOVE_DONE, EV_READ
 
         tracer = self.tracer
-        # the engine's track, and the I/O clients' one per destination tier
+        # the engine's track, the I/O clients' one per destination tier,
+        # and the runner's one per rank
         views = {
-            s.track: s for n in ("engine.place", "io.move_done") for s in tracer.named(n)
+            s.track: s
+            for n in ("engine.place", "io.move_done", "runner.read")
+            for s in tracer.named(n)
         }
+        keys = self.provenance.keys
         issued: dict = {}
+        request = None
         for ev in self.provenance.events:
-            if ev[0] == EV_DECISION:
+            if ev[0] == EV_READ:
+                if (ev[7], ev[8]) != request:
+                    request = (ev[7], ev[8])
+                    views[f"rank-{ev[7]}"].buf.extend(
+                        (ev[8], ev[1], None, keys[ev[2]].file_id, ev[9])
+                    )
+            elif ev[0] == EV_DECISION:
                 issued[ev[2]] = ev[1]
                 views["engine"].buf.extend((ev[1], ev[11], ev[8], ev[5]))
             elif ev[0] == EV_MOVE_DONE:
                 views[f"io-{ev[5]}"].buf.extend(
                     (ev[1], ev[7], ev[4], ev[5], ev[6], issued[ev[2]])
                 )
+        h = self.registry.get("read.latency_s")
+        for s in tracer.named("runner.read"):
+            h.observe_many(e - t0 for t0, e in zip(s.buf[0::5], s.buf[1::5]))
         h = self.registry.get("io.move_latency_s")
-        for s in tracer.named("io.move_done"):  # before the cap trims them
+        for s in tracer.named("io.move_done"):
             h.observe_many(ts - t0 for ts, t0 in zip(s.buf[0::6], s.buf[5::6]))
         for fold, dhm in zip(tracer.named("auditor.fold"), tracer.named("dhm.update")):
             dhm.buf.extend(chain.from_iterable(zip(fold.buf[0::3], fold.buf[1::3])))
             dhm.dropped += fold.dropped
             tracer.dropped += fold.dropped
-            views["dhm"] = dhm
-        if tracer.frozen_at is not None:  # the views were frozen empty
-            for v in views.values():
-                v.limit = v.stride * bisect_right(v.buf[0::v.stride], tracer.frozen_at)
-            tracer.enforce_caps()
 
     # -- diagnosis ---------------------------------------------------------
     def diagnosis_report(self):

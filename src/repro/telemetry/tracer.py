@@ -30,6 +30,9 @@ instrumented run is therefore result-identical to an uninstrumented one.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import chain
+from math import inf, nextafter
 from operator import itemgetter
 from typing import Any, Optional
 
@@ -147,7 +150,8 @@ class SpanTracer:
         trading exactness at the cap for a branch-free hot path.
         :meth:`begin` checks it on every call: past the cap, or once
         :meth:`enforce_caps` froze the trace, a new span is counted in
-        :attr:`dropped` instead of stored.
+        :attr:`dropped` instead of stored.  :meth:`settle_cap` bounds the
+        finished trace exactly.
     """
 
     def __init__(self, env: Environment, max_spans: int = 1_000_000):
@@ -221,6 +225,43 @@ class SpanTracer:
                 del s.buf[s.limit:]
                 s.dropped += excess
                 self.dropped += excess
+
+    def settle_cap(self) -> None:
+        """Bound the finished trace, views included, by the retention cap.
+
+        If the trace was frozen or holds more than ``max_spans`` records,
+        :attr:`frozen_at` moves back (never forward) to the latest time
+        that keeps at most ``max_spans``; every stream and the
+        :meth:`begin` list keep the records that start by then, and the
+        rest count in :attr:`dropped`.
+        """
+        cut = self.frozen_at
+        if cut is None and len(self) <= self.max_spans:
+            return
+        starts = sorted(chain(
+            (sp.start for sp in self._begun),
+            *(s.buf[0::s.stride] for s in self._streams),
+        ))
+        if len(starts) > self.max_spans:
+            first_cut = starts[self.max_spans]  # the first record over the cap
+            k = bisect_left(starts, first_cut)
+            latest = starts[k - 1] if k else nextafter(first_cut, -inf)
+            cut = latest if cut is None else min(cut, latest)
+        self.frozen_at = cut
+        kept = [sp for sp in self._begun if sp.start <= cut]
+        self.dropped += len(self._begun) - len(kept)
+        self._begun = kept
+        for s in self._streams:
+            buf, stride = s.buf, s.stride
+            keep = [i for i in range(0, len(buf), stride) if buf[i] <= cut]
+            excess = len(buf) // stride - len(keep)
+            if excess:
+                # in place: the sites' cached ``append`` stays bound
+                buf[:] = [v for i in keep for v in buf[i : i + stride]]
+                s.dropped += excess
+                self.dropped += excess
+            s.limit = len(buf)
+        self._cache_key = None  # record counts alone no longer identify the cache
 
     # -- cold-site spans ---------------------------------------------------
     def begin(self, name: str, track: str = "sim", cat: str = "sim", **args: Any) -> Span:

@@ -194,10 +194,6 @@ class WorkloadSpec:
                 return a
         raise KeyError(f"no app named {name!r}")
 
-    def processes_of(self, app: str) -> list[ProcessSpec]:
-        """Ranks belonging to one application."""
-        return [p for p in self.processes if p.app == app]
-
     def iter_all_reads(self) -> Iterator[tuple[int, ReadOp]]:
         """Every (pid, read op) of the workload, in per-process order."""
         for proc in self.processes:

@@ -36,7 +36,7 @@ def test_move_used_is_credited_and_classified_used():
     clock.now = 1.0
     prov.move_done(did, "k", "PFS", "RAM", MB)
     clock.now = 3.0
-    prov.read("k", "RAM", "PFS", True, MB, 0)
+    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: USED}
     assert rep.credits == [(3.0, prov.sid("k"), did)]
@@ -51,7 +51,7 @@ def test_read_before_move_settles_is_too_late():
     prov, clock = fresh_log()
     did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
     clock.now = 1.0
-    prov.read("k", "PFS", "PFS", False, MB, 0)  # still served from source
+    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)  # still served from source
     clock.now = 2.0
     prov.move_done(did, "k", "PFS", "RAM", MB)
     rep = replay(prov)
@@ -62,7 +62,7 @@ def test_read_before_move_settles_is_too_late():
 
 def test_never_placed_miss_cause():
     prov, _clock = fresh_log()
-    prov.read("k", "PFS", "PFS", False, MB, 0)
+    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.miss_causes == {"never-placed": 1}
     assert rep.move_class == {}
@@ -75,7 +75,7 @@ def test_invalidated_before_use():
     clock.now = 1.0
     prov.evict("k", "RAM", "invalidated")
     clock.now = 2.0
-    prov.read("k", "PFS", "PFS", False, MB, 0)
+    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: INVALIDATED_UNUSED}
     assert rep.miss_causes == {"invalidated-before-use": 1}
@@ -98,7 +98,7 @@ def test_failed_move_is_dead_on_arrival_and_prefetch_failed_miss():
     clock.now = 1.0
     prov.move_failed(did, "k", MB)
     clock.now = 2.0
-    prov.read("k", "PFS", "PFS", False, MB, 0)
+    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: DEAD_ON_ARRIVAL}
     assert rep.miss_causes == {"prefetch-failed": 1}
@@ -112,7 +112,7 @@ def test_superseding_move_closes_unused_window_as_evicted():
     d2 = prov.decision("k", "promote", 9.0, 0, "NVMe", "RAM", MB, True)
     prov.move_done(d2, "k", "NVMe", "RAM", MB)
     clock.now = 2.0
-    prov.read("k", "RAM", "PFS", True, MB, 0)
+    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class[d1] == EVICTED_UNUSED  # superseded before use
     assert rep.move_class[d2] == USED
@@ -123,7 +123,7 @@ def test_ledger_only_decision_opens_window_without_waste_class():
     prov, clock = fresh_log()
     did = prov.decision("k", "demote", 1.0, 2, "NVMe", "NVMe", MB, False)
     clock.now = 1.0
-    prov.read("k", "NVMe", "PFS", True, MB, 0)
+    prov.read("k", "NVMe", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {}  # no bytes moved, nothing to classify
     assert rep.credits == [(1.0, prov.sid("k"), did)]
@@ -138,7 +138,7 @@ def test_pending_move_at_run_end_is_dead_on_arrival():
 
 def test_hit_with_no_window_is_unattributed():
     prov, _clock = fresh_log()
-    prov.read("k", "RAM", "PFS", True, MB, 0)  # e.g. a baseline's cache
+    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)  # e.g. a baseline's cache
     rep = replay(prov)
     assert rep.unattributed_hits == 1
     assert rep.credits == []
@@ -149,7 +149,7 @@ def test_owned_but_slow_window_counts_placed_too_slow():
     did = prov.decision("k", "place", 5.0, 0, "BurstBuffer", "BurstBuffer",
                         MB, False)
     clock.now = 1.0
-    prov.read("k", "BurstBuffer", "BurstBuffer", False, MB, 0)
+    prov.read("k", "BurstBuffer", "BurstBuffer", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.miss_causes == {"placed-too-slow": 1}
     assert rep.decisions[did].uses == 1 and rep.decisions[did].hits == 0

@@ -95,9 +95,9 @@ def test_analyze_drift_scores_against_next_access():
     # snapshot at t=0 ranks a hotter than b; a is then read sooner
     prov.snapshot([("a", 9.0), ("b", 1.0)])
     clock.now = 1.0
-    prov.read("a", "RAM", "PFS", True, 1, 0)
+    prov.read("a", "RAM", "PFS", True, 1, 0, 0.0, 1)
     clock.now = 2.0
-    prov.read("b", "RAM", "PFS", True, 1, 0)
+    prov.read("b", "RAM", "PFS", True, 1, 0, 0.0, 1)
     out = analyze_drift(prov)
     assert out["scored_snapshots"] == 1
     assert out["tau_mean"] == pytest.approx(1.0)

@@ -11,7 +11,7 @@ def test_defaults_match_paper():
     assert c.decay_base == 2.0
     assert c.engine_interval == 1.0  # "e.g., every 1 sec"
     assert c.engine_update_threshold == 100  # medium reactiveness
-    assert c.total_threads == 8  # the paper's server uses 8 threads
+    assert c.daemon_threads + c.engine_threads == 8  # the paper's server uses 8 threads
     # Fig. 4(a) default cache layout: 5 / 15 / 20 GB
     assert [b.capacity for b in c.tier_budgets] == [5 * GB, 15 * GB, 20 * GB]
     assert c.total_cache_bytes == 40 * GB
@@ -50,17 +50,6 @@ def test_with_reactiveness_presets():
     assert c.with_reactiveness("low").engine_update_threshold == 1024
     with pytest.raises(ValueError):
         c.with_reactiveness("extreme")
-
-
-def test_with_thread_split():
-    c = HFetchConfig().with_thread_split(6, 2)
-    assert c.daemon_threads == 6 and c.engine_threads == 2
-
-
-def test_with_budgets():
-    c = HFetchConfig().with_budgets(TierBudget("RAM", GB))
-    assert len(c.tier_budgets) == 1
-    assert c.total_cache_bytes == GB
 
 
 def test_config_is_immutable():

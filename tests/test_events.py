@@ -139,18 +139,15 @@ def test_fanout_to_multiple_queues():
     ino.add_watch("f")
     ino.emit(EventType.OPEN, "f")
     assert q1.level == 1 and q2.level == 1
-    ino.unsubscribe(q2)
-    ino.emit(EventType.CLOSE, "f")
-    assert q1.level == 2 and q2.level == 1
 
 
 def test_watch_event_counter():
     env = Environment()
     ino = SimInotify(env)
-    ino.add_watch("f")
+    watch = ino.add_watch("f")
     for _ in range(3):
         ino.emit(EventType.READ, "f", 0, 1)
-    assert ino.watch_of("f").events_seen == 3
+    assert watch.events_seen == 3
 
 
 # --------------------------------------------- monitor drain regressions

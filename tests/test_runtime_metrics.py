@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.diagnosis.provenance import EV_READ
 from repro.experiments.common import averaged_row
 from repro.metrics.collector import MetricsCollector, RunResult
 from repro.metrics.report import format_run_results, format_table
@@ -9,6 +10,7 @@ from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster, TierSpec
 from repro.runtime.runner import WorkflowRunner, run_workload
 from repro.storage.devices import DRAM, NVME
+from repro.telemetry import Telemetry
 from repro.workloads.spec import AppSpec, FileDecl, ProcessSpec, ReadOp, StepSpec, WorkloadSpec
 
 MB = 1 << 20
@@ -84,10 +86,14 @@ def test_runner_executes_all_reads():
 def test_runner_respects_app_dependencies():
     wl = simple_workload(procs=2, app="consumer", deps=["producer"], compute=0.05)
     cluster = SimulatedCluster(ClusterSpec().scaled_for(4))
-    runner = WorkflowRunner(cluster, wl, NoPrefetcher())
+    tel = Telemetry()
+    runner = WorkflowRunner(cluster, wl, NoPrefetcher(), telemetry=tel)
     result = runner.run()
-    # producer finishes its step before any consumer read happens
-    prod_t = max(t for pid, t in runner.metrics.per_process_time.items() if pid == 0)
+    # the producer's (pid 0) last read ends before any consumer read starts
+    reads = [ev for ev in tel.provenance.events if ev[0] == EV_READ]
+    prod_end = max(ev[1] for ev in reads if ev[7] == 0)
+    cons_start = min(ev[8] for ev in reads if ev[7] != 0)
+    assert prod_end < cons_start
     assert result.end_to_end_time >= 0.1  # two phases of >= 0.05 compute
 
 
@@ -99,20 +105,11 @@ def test_runner_deterministic_across_runs():
     assert once() == once()
 
 
-def test_runner_records_per_app_metrics():
-    wl = simple_workload(procs=2)
-    cluster = SimulatedCluster(ClusterSpec().scaled_for(4))
-    runner = WorkflowRunner(cluster, wl, NoPrefetcher())
-    runner.run()
-    assert runner.metrics.per_app_misses["a"] == 2
-    assert runner.metrics.app_hit_ratio("a") == 0.0
-
-
 # ------------------------------------------------------------------ metrics
 def test_collector_hit_accounting():
     m = MetricsCollector()
-    m.record_read(0, "RAM", MB, 0.01, hit=True, when=1.0, origin_name="PFS")
-    m.record_read(0, "PFS", MB, 0.05, hit=False, when=2.0, origin_name="PFS")
+    m.record_read(0, "RAM", MB, 0.01, hit=True, origin_name="PFS")
+    m.record_read(0, "PFS", MB, 0.05, hit=False, origin_name="PFS")
     assert m.total_reads == 2
     assert m.hit_ratio == 0.5
     # hits are keyed by serving tier, misses by the file's origin tier;
@@ -122,15 +119,9 @@ def test_collector_hit_accounting():
     assert sum(m.tier_hits.values()) + sum(m.tier_misses.values()) == m.total_reads
     r = m.finalize("X", "w", end_to_end_time=2.0)
     assert isinstance(r, RunResult)
-    assert r.miss_ratio == 0.5
+    assert r.hit_ratio == 0.5
     assert r.tier_misses == {"PFS": 1}
     assert r.row()["hit_ratio_%"] == 50.0
-
-
-def test_collector_miss_falls_back_to_serving_tier():
-    m = MetricsCollector()
-    m.record_read(0, "BurstBuffer", MB, 0.05, hit=False, when=1.0)
-    assert m.tier_misses == {"BurstBuffer": 1}
 
 
 def test_averaged_row_mean_and_variance():

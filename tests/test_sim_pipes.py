@@ -92,16 +92,6 @@ def test_in_flight_and_queued_counters():
     assert pipe.queued == 1
 
 
-def test_estimate_backlog_grows_with_pending_work():
-    env = Environment()
-    pipe = BandwidthPipe(env, latency=0.0, bandwidth=1, channels=1)
-    assert pipe.estimate_backlog() == 0.0
-    env.process(pipe.transfer(10))
-    env.process(pipe.transfer(10))
-    env.run(until=1.0)
-    assert pipe.estimate_backlog() > 0.0
-
-
 def test_transfer_returns_duration():
     env = Environment()
     pipe = BandwidthPipe(env, latency=0.25, bandwidth=100, channels=1)

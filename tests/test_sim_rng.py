@@ -52,13 +52,6 @@ def test_split_seed_stable():
     assert split_seed(5, "label").entropy == split_seed(5, "label").entropy
 
 
-def test_integers_array_shape_and_bounds():
-    s = SeededStream(1, "arr")
-    arr = s.integers_array(0, 4, 50)
-    assert arr.shape == (50,)
-    assert arr.min() >= 0 and arr.max() < 4
-
-
 def test_permutation_covers_range():
     s = SeededStream(1, "perm")
     assert sorted(s.permutation(8).tolist()) == list(range(8))

@@ -34,11 +34,6 @@ def test_device_scaled_invalid_count():
         DRAM.scaled(0)
 
 
-def test_device_uncontended_time():
-    d = DeviceProfile("x", latency=0.5, bandwidth=100)
-    assert d.uncontended_time(50) == pytest.approx(1.0)
-
-
 def test_tier_speed_ordering_of_presets():
     # the latency ladder the whole reproduction depends on
     assert DRAM.latency < NVME.latency < BURST_BUFFER.latency < PFS_DISK.latency

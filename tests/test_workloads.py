@@ -140,7 +140,7 @@ def test_workload_implicit_apps():
     procs = [ProcessSpec(pid=i, app="a", steps=()) for i in range(2)]
     wl = WorkloadSpec("w", [], procs)
     assert [a.name for a in wl.apps] == ["a"]
-    assert wl.processes_of("a") == procs
+    assert [p.app for p in wl.processes] == ["a", "a"]
 
 
 def test_workload_materialize_creates_files():
