@@ -42,7 +42,7 @@ Package layout:
 ================  =============================================================
 """
 
-from repro.core.config import HFetchConfig, TierBudget
+from repro.core.config import HFetchConfig
 from repro.core.prefetcher import HFetchPrefetcher
 from repro.core.scoring import batch_scores, segment_score
 from repro.core.server import HFetchServer
@@ -64,7 +64,7 @@ from repro.runtime.cluster import ClusterSpec, SimulatedCluster
 from repro.runtime.runner import WorkflowRunner, run_workload
 from repro.sim.core import Environment
 from repro.storage.segments import SegmentKey
-from repro.telemetry.handle import NullTelemetry, Telemetry
+from repro.telemetry.handle import Telemetry
 from repro.workloads.spec import (
     AppSpec,
     FileDecl,
@@ -91,7 +91,6 @@ __all__ = [
     "KnowAcPrefetcher",
     "MetricsCollector",
     "NoPrefetcher",
-    "NullTelemetry",
     "ParallelPrefetcher",
     "Prefetcher",
     "ProcessSpec",
@@ -104,7 +103,6 @@ __all__ = [
     "StackerPrefetcher",
     "StepSpec",
     "Telemetry",
-    "TierBudget",
     "WorkflowRunner",
     "WorkloadSpec",
     "batch_scores",

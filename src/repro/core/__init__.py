@@ -23,7 +23,7 @@ Component map (paper Fig. 1 / §III-A):
 
 from repro.core.agents import Agent, AgentManager
 from repro.core.auditor import FileSegmentAuditor
-from repro.core.config import HFetchConfig, TierBudget
+from repro.core.config import HFetchConfig
 from repro.core.heatmap import FileHeatmap, HeatmapStore
 from repro.core.io_clients import IOClientPool, MoveInstruction
 from repro.core.monitor import HardwareMonitor
@@ -47,7 +47,6 @@ __all__ = [
     "MoveInstruction",
     "PlacementEngine",
     "SegmentStats",
-    "TierBudget",
     "batch_scores",
     "segment_score",
 ]

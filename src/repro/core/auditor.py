@@ -124,10 +124,9 @@ class FileSegmentAuditor:
                 if self._seen_version.get(file_id, version) != version:
                     self._invalidate(file_id)
                 self._seen_version[file_id] = version
-            if self.config.persist_heatmaps:
-                stored = self.heatmaps.load(file_id)
-                if stored is not None:
-                    self._seed_from_heatmap(file_id, stored)
+            stored = self.heatmaps.load(file_id)
+            if stored is not None:
+                self._seed_from_heatmap(file_id, stored)
         return first
 
     def end_epoch(self, file_id: str, now: float = 0.0) -> bool:
@@ -137,7 +136,7 @@ class FileSegmentAuditor:
             self._epochs.pop(file_id, None)
             for stream in self._file_streams.pop(file_id, ()):
                 self._last_segment.pop(stream, None)
-            if self.config.persist_heatmaps and self.fs.exists(file_id):
+            if self.fs.exists(file_id):
                 self.heatmaps.save(self.build_heatmap(file_id, now))
             return True
         self._epochs[file_id] = count - 1

@@ -7,16 +7,17 @@ Collects every tunable the paper exposes:
 * the placement-engine trigger — a time interval *and* a number of score
   changes, whichever fires first (§III-D: "to avoid excessive data
   movements ... two user-configurable conditions"),
-* the daemon::engine thread split of the server (Fig. 3(a)),
-* the per-tier prefetching-cache budgets (e.g. Fig. 4(a): 5 GB RAM +
-  15 GB NVMe + 20 GB burst buffer).
+* the daemon::engine thread split of the server (Fig. 3(a)).
+
+The per-tier cache capacities (Fig. 4(a): 5 GB RAM + 15 GB NVMe + 20 GB
+burst buffer) are the cluster's, in ``ClusterSpec.tiers``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-__all__ = ["TierBudget", "HFetchConfig"]
+__all__ = ["HFetchConfig"]
 
 KB = 1024
 MB = 1024 * KB
@@ -24,22 +25,13 @@ GB = 1024 * MB
 
 
 @dataclass(frozen=True)
-class TierBudget:
-    """Prefetching-cache allocation on one tier."""
-
-    name: str
-    capacity: float
-
-    def __post_init__(self) -> None:
-        if self.capacity <= 0:
-            raise ValueError(f"tier budget must be positive: {self.name}={self.capacity}")
-
-
-@dataclass(frozen=True)
 class HFetchConfig:
     """All HFetch tunables with the paper's defaults."""
 
     #: Prefetching unit in bytes (paper's running example uses 1 MB).
+    #: The simulator does not read this field: segment sizes come from
+    #: the file system (each file's ``segment_size``, else the cluster's
+    #: ``ClusterSpec.default_segment_size``).
     segment_size: int = 1 * MB
 
     #: Decay base ``p >= 2`` of Eq. 1.
@@ -99,14 +91,6 @@ class HFetchConfig:
     #: placement candidates — the cost of low reactiveness in Fig. 3(b).
     dirty_vector_capacity: int = 1024
 
-    #: Prefetching-cache budgets, fastest tier first.  The default is the
-    #: Fig. 4(a) configuration.
-    tier_budgets: tuple[TierBudget, ...] = (
-        TierBudget("RAM", 5 * GB),
-        TierBudget("NVMe", 15 * GB),
-        TierBudget("BurstBuffer", 20 * GB),
-    )
-
     #: Sequencing lookahead depth: when a segment becomes hot, its most
     #: likely successors (from the auditor's segment-sequencing map,
     #: falling back to the spatial next segment) are placed as well, up
@@ -121,10 +105,6 @@ class HFetchConfig:
     #: Score discount per lookahead hop — a successor inherits this
     #: fraction of its predecessor's score per step of distance.
     lookahead_discount: float = 0.85
-
-    #: Persist file heatmaps on epoch close and reload on re-open
-    #: (the optional history metafiles of §III-C).
-    persist_heatmaps: bool = True
 
     #: Segment-scoring model: "eq1" (the paper's Eq. 1, default), "ewma"
     #: (online access-rate estimator) or "hybrid" — the pluggable-model
@@ -170,8 +150,6 @@ class HFetchConfig:
             raise ValueError("lookahead_depth must be >= 0")
         if not 0 < self.lookahead_discount <= 1:
             raise ValueError("lookahead_discount must be in (0, 1]")
-        if not self.tier_budgets:
-            raise ValueError("at least one tier budget is required")
         if self.prefetch_max_retries < 0:
             raise ValueError("prefetch_max_retries must be >= 0")
         if self.dhm_max_retries < 1:
@@ -187,11 +165,6 @@ class HFetchConfig:
             )
 
     # -- convenience -----------------------------------------------------------
-    @property
-    def total_cache_bytes(self) -> float:
-        """Aggregate prefetching-cache capacity across tiers."""
-        return sum(b.capacity for b in self.tier_budgets)
-
     def with_reactiveness(self, level: str) -> "HFetchConfig":
         """The paper's Fig. 3(b) sensitivity presets.
 

@@ -6,22 +6,20 @@ region is for data access optimization".  HFetch keeps heatmaps in
 memory for the duration of a prefetching epoch, can persist them on
 close ("resembling a file access history"), and on re-open loads the
 stored heatmap so new accesses *evolve* it further.  Heatmaps are
-deleted when the workflow ends.  The paper's prototype keeps only the
-latest version per file; this implementation additionally supports the
-multi-version, best-fit selection the paper lists as future work
-(``HeatmapStore(max_versions=...)`` + :func:`heatmap_similarity`).
+deleted when the workflow ends.  Like the paper's prototype, the store
+keeps only the latest (merged) heatmap per file.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-__all__ = ["FileHeatmap", "HeatmapStore", "heatmap_similarity"]
+__all__ = ["FileHeatmap", "HeatmapStore"]
 
 
 @dataclass
@@ -65,12 +63,6 @@ class FileHeatmap:
             top = np.arange(n)
         order = top[np.argsort(scores[top])[::-1]]
         return [int(i) for i in order]
-
-    def temperature(self, index: int) -> float:
-        """Score of one segment (0.0 outside the vector)."""
-        if 0 <= index < self.scores.size:
-            return float(self.scores[index])
-        return 0.0
 
     def merge(self, other: "FileHeatmap", decay: float = 0.5) -> "FileHeatmap":
         """Evolve this (historical) heatmap with a newer observation.
@@ -116,45 +108,19 @@ class FileHeatmap:
         )
 
 
-def heatmap_similarity(a: "FileHeatmap", b: "FileHeatmap") -> float:
-    """Cosine similarity between two heatmaps (0 when either is flat).
-
-    Used by the multi-version store to pick the stored heatmap that best
-    matches the accesses observed so far in the current epoch.
-    """
-    if a.file_id != b.file_id:
-        raise ValueError("cannot compare heatmaps of different files")
-    n = max(a.scores.size, b.scores.size)
-    va = np.zeros(n)
-    vb = np.zeros(n)
-    va[: a.scores.size] = a.scores
-    vb[: b.scores.size] = b.scores
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0 or nb == 0:
-        return 0.0
-    return float(np.dot(va, vb) / (na * nb))
-
-
 class HeatmapStore:
     """Keeps heatmaps per file (in memory, optionally on disk).
 
     The disk form is the paper's "enriched metafile" stored alongside the
-    raw file.  By default only the latest heatmap per file is kept — the
-    paper's prototype behaviour — but the store can retain up to
-    ``max_versions`` distinct epoch heatmaps and select the best fit to
-    the current epoch's observed accesses (:meth:`best_fit`), the
-    extension §III-C envisions.
+    raw file.  Only the latest heatmap per file is kept — the paper's
+    prototype behaviour.
     """
 
-    def __init__(self, directory: "str | Path | None" = None, max_versions: int = 1):
-        if max_versions < 1:
-            raise ValueError("max_versions must be >= 1")
+    def __init__(self, directory: "str | Path | None" = None):
         self.directory = Path(directory) if directory is not None else None
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
-        self.max_versions = max_versions
         self._maps: dict[str, FileHeatmap] = {}
-        self._versions: dict[str, list[FileHeatmap]] = {}
         self.saves = 0
         self.loads = 0
 
@@ -166,11 +132,6 @@ class HeatmapStore:
 
     def save(self, heatmap: FileHeatmap) -> None:
         """Store (and persist, if file-backed) the latest heatmap."""
-        # version ring: keep the raw epoch heatmaps for best-fit lookup
-        ring = self._versions.setdefault(heatmap.file_id, [])
-        ring.append(heatmap)
-        while len(ring) > self.max_versions:
-            ring.pop(0)
         existing = self._maps.get(heatmap.file_id)
         if existing is not None:
             heatmap = existing.merge(heatmap)
@@ -179,29 +140,6 @@ class HeatmapStore:
         if path is not None:
             path.write_text(heatmap.to_json())
         self.saves += 1
-
-    def versions(self, file_id: str) -> list[FileHeatmap]:
-        """The retained epoch heatmaps, oldest first."""
-        return list(self._versions.get(file_id, ()))
-
-    def best_fit(self, observed: FileHeatmap) -> Optional[FileHeatmap]:
-        """The stored version most similar to the observed accesses.
-
-        ``observed`` is the (typically partial) heatmap of the accesses
-        seen so far in the current epoch; the store returns the retained
-        version with the highest cosine similarity — "select the best
-        fit to the current epoch" (§III-C).  Falls back to the merged
-        latest heatmap when no version matches at all.
-        """
-        candidates = self._versions.get(observed.file_id, ())
-        best, best_sim = None, 0.0
-        for candidate in candidates:
-            sim = heatmap_similarity(observed, candidate)
-            if sim > best_sim:
-                best, best_sim = candidate, sim
-        if best is not None:
-            return best
-        return self._maps.get(observed.file_id)
 
     def load(self, file_id: str) -> Optional[FileHeatmap]:
         """Fetch the stored heatmap for a re-opened file, if any."""
@@ -216,9 +154,8 @@ class HeatmapStore:
         return hm
 
     def delete(self, file_id: str) -> None:
-        """Drop a file's heatmap and versions (workflow teardown)."""
+        """Drop a file's heatmap (workflow teardown)."""
         self._maps.pop(file_id, None)
-        self._versions.pop(file_id, None)
         path = self._path_for(file_id)
         if path is not None and path.exists():
             path.unlink()

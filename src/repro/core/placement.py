@@ -12,30 +12,27 @@ comes first (§III-D): a time interval (default 1 s) and a number of
 accumulated score updates (default 100; Fig. 3(b) calls 1 / 100 / 1024
 "high" / "medium" / "low" reactiveness).
 
-Algorithm 1 (verbatim from the paper)::
+Algorithm 1 (quoted in DESIGN.md §1) places a segment in the first tier
+whose minimum resident score it beats, demoting that tier's coldest
+residents one tier down (recursively) to make room.  Notes on how this
+realisation keeps to the text:
 
-    procedure CalculatePlacement(segment, tier)
-        if segment.score > tier.min_score then
-            if segment cannot fit in this tier then
-                tier.min_score <- segment.score
-                DemoteSegments(segment.score, tier)
-            if segment.score > tier.max_score then
-                tier.max_score <- segment.score
-            place segment in this tier
-        else
-            CalculatePlacement(segment, tier.next)
-
-    procedure DemoteSegments(score, tier)
-        segments <- GetSegments(score, tier)
-        for each s in segments do
-            CalculatePlacement(s, tier.next)
-
-Implementation notes kept honest to the text:
-
-* ``tier.min_score`` is the smallest score currently resident (−inf for
-  an empty/not-full tier, so cold segments still fill free space — the
-  paper's worked example updates RAM's min from 2.0 to 2.2 after the
-  2.0-scored segment is displaced, i.e. min tracks residents).
+* A tier's minimum is the smallest score currently resident (−inf for a
+  tier the segment simply fits in, so cold segments still fill free
+  space — the paper's worked example updates RAM's min from 2.0 to 2.2
+  after the 2.0-scored segment is displaced, i.e. min tracks
+  residents).  It is the engine's per-tier lazy min-heap of
+  ``(score, seq, key)`` entries, not an attribute of the tier: a
+  refresh pushes a new entry, and an entry whose segment has left the
+  tier or been re-scored is stale.  :meth:`_peek_min` is the one
+  staleness check; it pops stale entries off the top, and runs after
+  every push and every demotion as well as where a minimum is read.
+  When those pops happen matters: a stale entry left deeper in the heap
+  is live again if its segment comes back to the tier with the same
+  score (common for fully decayed 0.0 scores), and then wins ties on
+  its older ``seq``.  Popping only where a minimum is read changes
+  Fig. 4(a)'s HFetch row (27 → 28 evictions).  The paper's per-tier
+  maximum is not kept: no decision reads it.
 * ``GetSegments(score, tier)`` returns the coldest residents with score
   below the incoming score, just enough to make room; victims'
   scores are recomputed (decayed) before the comparison.
@@ -273,31 +270,30 @@ class PlacementEngine:
                 return f.segment_bytes(key)
         return None
 
-    def _tier_min_score(self, tier: StorageTier, nbytes: int) -> float:
+    def _admission_threshold(self, tier: StorageTier, nbytes: int) -> float:
         """Admission threshold: −inf while the segment would simply fit."""
         if tier.can_fit(nbytes):
             return -math.inf
         top = self._peek_min(tier)
-        return top if top is not None else -math.inf
+        return top[0] if top is not None else -math.inf
 
-    def _peek_min(self, tier: StorageTier) -> Optional[float]:
+    def _peek_min(self, tier: StorageTier) -> Optional[tuple[float, int, SegmentKey]]:
+        """The tier's live minimum entry, popping stale ones above it."""
         heap = self._heaps[tier.name]
         while heap:
-            score, _seq, key = heap[0]
-            if self.hierarchy.locate(key) is not tier or self._scores.get(key) != score:
+            top = heap[0]
+            key = top[2]
+            if self.hierarchy.locate(key) is not tier or self._scores.get(key) != top[0]:
                 heapq.heappop(heap)  # stale
                 continue
-            return score
+            return top
         return None
 
     def _push(self, tier: StorageTier, key: SegmentKey, score: float) -> None:
         self._seq += 1
         self._scores[key] = score
         heapq.heappush(self._heaps[tier.name], (score, self._seq, key))
-        if score > tier.max_score:
-            tier.max_score = score
-        top = self._peek_min(tier)
-        tier.min_score = top if top is not None else math.inf
+        self._peek_min(tier)  # keep the top live (see the module notes)
 
     def _calculate_placement(
         self, key: SegmentKey, nbytes: int, score: float, tier_idx: int
@@ -327,7 +323,7 @@ class PlacementEngine:
             if score <= last * self.config.demotion_hysteresis:
                 self._push(current, key, score)
                 return
-        if score > self._tier_min_score(tier, nbytes):
+        if score > self._admission_threshold(tier, nbytes):
             if not tier.can_fit(nbytes):
                 self._demote_segments(score, nbytes, tier, tier_idx)
             if tier.can_fit(nbytes):
@@ -343,14 +339,11 @@ class PlacementEngine:
         ``needed`` bytes fit (GetSegments + the demotion loop of Alg. 1)."""
         heap = self._heaps[tier.name]
         now = self.env.now
-        while not tier.can_fit(needed) and heap:
-            old_score, _seq, victim = heap[0]
-            if (
-                self.hierarchy.locate(victim) is not tier
-                or self._scores.get(victim) != old_score
-            ):
-                heapq.heappop(heap)
-                continue
+        while not tier.can_fit(needed):
+            top = self._peek_min(tier)
+            if top is None:
+                break
+            old_score, _seq, victim = top
             current = self.auditor.score_of(victim, now)  # decayed, fresh
             if current * self.config.demotion_hysteresis >= score:
                 # the coldest resident is still hotter than the newcomer
@@ -366,8 +359,7 @@ class PlacementEngine:
             outer_rank, self._plan_rank = self._plan_rank, -1
             self._calculate_placement(victim, victim_bytes, current, tier_idx + 1)
             self._plan_rank = outer_rank
-        top = self._peek_min(tier)
-        tier.min_score = top if top is not None else math.inf
+        self._peek_min(tier)  # keep the top live (see the module notes)
 
     def _place(self, key: SegmentKey, nbytes: int, score: float, tier: StorageTier) -> None:
         src_name = self.io_clients.serving_tier_name(key)

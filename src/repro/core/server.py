@@ -48,14 +48,12 @@ class HFetchServer:
         heatmap_store: Optional[HeatmapStore] = None,
         telemetry=None,
     ):
-        from repro.telemetry.handle import live
-
         self.env = env
         self.config = config
         self.fs = fs
         self.hierarchy = hierarchy
         self.comm = comm
-        self.telemetry = tel = live(telemetry)
+        self.telemetry = tel = telemetry
 
         self.inotify = SimInotify(env)
         self.queue = EventQueue(env, capacity=config.event_queue_capacity)

@@ -15,7 +15,7 @@ Models the VFS-level event capture HFetch relies on (paper §III-B):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro.events.queue import EventQueue
@@ -89,10 +89,6 @@ class SimInotify:
             self.watches_removed += 1
             return True
         return False
-
-    def is_watched(self, file_id: str) -> bool:
-        """Whether a live watch exists on ``file_id``."""
-        return file_id in self._watches
 
     @property
     def active_watches(self) -> int:

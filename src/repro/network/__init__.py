@@ -11,13 +11,12 @@ bulk transfers contend for the same fabric exactly as they do on a real
 """
 
 from repro.network.comm import LinkProfile, NodeCommunicator, RDMA, TCP
-from repro.network.topology import ClusterTopology, NodeRole
+from repro.network.topology import ClusterTopology
 
 __all__ = [
     "ClusterTopology",
     "LinkProfile",
     "NodeCommunicator",
-    "NodeRole",
     "RDMA",
     "TCP",
 ]

@@ -71,11 +71,6 @@ class NodeCommunicator:
         self.data_transfers = 0
         self.data_bytes = 0
 
-    # -- metadata ------------------------------------------------------------
-    def metadata_cost(self, nbytes: int = 64) -> float:
-        """Uncontended cost of one metadata message."""
-        return self.fabric.service_time(nbytes)
-
     # -- bulk data -------------------------------------------------------------
     def bulk_transfer(self, src_node: int, dst_node: int, nbytes: int) -> Generator:
         """Process generator: move ``nbytes`` between two nodes."""

@@ -9,21 +9,9 @@ builder in :mod:`repro.runtime.cluster`.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["NodeRole", "ClusterTopology"]
-
-
-class NodeRole(enum.Enum):
-    """What a node is for."""
-
-    COMPUTE = "compute"
-    BURST_BUFFER = "burst_buffer"
-    STORAGE = "storage"
-
-    def __str__(self) -> str:
-        return self.value
+__all__ = ["ClusterTopology"]
 
 
 @dataclass(frozen=True)
@@ -54,14 +42,6 @@ class ClusterTopology:
         if rank < 0:
             raise ValueError("rank must be non-negative")
         return (rank // self.cores_per_node) % self.compute_nodes
-
-    def ranks_on_node(self, node: int, total_ranks: int) -> list[int]:
-        """Ranks (out of ``total_ranks``) placed on compute node ``node``."""
-        return [
-            r
-            for r in range(total_ranks)
-            if self.node_of_rank(r) == node % self.compute_nodes
-        ]
 
     def scaled_to(self, ranks: int) -> "ClusterTopology":
         """A topology with just enough compute nodes for ``ranks``."""

@@ -36,7 +36,6 @@ if TYPE_CHECKING:  # avoid a circular import; Prefetcher is typing-only here
     from repro.prefetchers.base import Prefetcher
 from repro.runtime.context import RuntimeContext
 from repro.sim.core import Environment, Event
-from repro.telemetry.handle import live
 from repro.workloads.spec import ProcessSpec, ReadOp, WorkloadSpec
 
 __all__ = ["WorkflowRunner", "run_workload"]
@@ -60,8 +59,7 @@ class WorkflowRunner:
         self.fault_plan = fault_plan
         self.injector: Optional[FaultInjector] = None
         self.metrics = MetricsCollector()
-        tel = live(telemetry)
-        self.telemetry = tel
+        self.telemetry = tel = telemetry
         if tel is not None:
             tel.bind(cluster.env)
             # views the handle fills from EV_READ at finalize, registered

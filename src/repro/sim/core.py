@@ -243,42 +243,37 @@ class Process(Event):
 
     # -- driving -------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        env = self.env
-        env._active_process = self
         # Release the event that woke us: after this point it is history,
         # and dropping the reference lets fired Timeouts be recycled.
         self._target = None
         gen = self._generator
-        try:
-            while True:
+        while True:
+            try:
+                if event._ok:
+                    result = gen.send(event._value)
+                else:
+                    event._defused = True
+                    result = gen.throw(event._value)
+            except StopIteration as stop:
+                self.succeed(stop.value)
+                break
+            if result.__class__ is not Timeout and not isinstance(result, Event):
+                exc = SimulationError(
+                    f"process {self.name!r} yielded a non-event: {result!r}"
+                )
                 try:
-                    if event._ok:
-                        result = gen.send(event._value)
-                    else:
-                        event._defused = True
-                        result = gen.throw(event._value)
+                    gen.throw(exc)
                 except StopIteration as stop:
                     self.succeed(stop.value)
                     break
-                if result.__class__ is not Timeout and not isinstance(result, Event):
-                    exc = SimulationError(
-                        f"process {self.name!r} yielded a non-event: {result!r}"
-                    )
-                    try:
-                        gen.throw(exc)
-                    except StopIteration as stop:
-                        self.succeed(stop.value)
-                        break
-                    raise exc
-                if result._processed:
-                    # Already fired: resume immediately with its value.
-                    event = result
-                    continue
-                self._target = result
-                result.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
-                break
-        finally:
-            env._active_process = None
+                raise exc
+            if result._processed:
+                # Already fired: resume immediately with its value.
+                event = result
+                continue
+            self._target = result
+            result.callbacks.append(self._resume_cb)  # type: ignore[union-attr]
+            break
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {'dead' if self._triggered else 'alive'}>"
@@ -356,13 +351,12 @@ class Environment:
         assert env.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_active_process", "_timeout_pool")
+    __slots__ = ("_now", "_queue", "_eid", "_timeout_pool")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        self._active_process: Optional[Process] = None
         # Recycled Timeout objects (see Timeout): avoids one allocation
         # plus full re-initialisation per timeout in steady state.
         self._timeout_pool: list[Timeout] = []
@@ -372,11 +366,6 @@ class Environment:
     def now(self) -> float:
         """Current virtual time."""
         return self._now
-
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between events)."""
-        return self._active_process
 
     # -- factories ------------------------------------------------------
     def event(self) -> Event:
@@ -472,40 +461,14 @@ class Environment:
         solo = _SOLO_REFS
         pool_max = _TIMEOUT_POOL_MAX
         timeout_cls = Timeout
-        if stop_event is None and stop_time == float("inf"):
-            # Run-to-exhaustion specialisation: no stop checks at all.
-            while queue:
-                when, _prio, _eid, event = pop(queue)
-                self._now = when
-                # Event._run_callbacks, inlined (same order: callbacks
-                # first, then the unhandled-failure check).
-                event._processed = True
-                callbacks = event.callbacks
-                event.callbacks = None
-                for cb in callbacks:  # type: ignore[union-attr]
-                    cb(event)
-                if not event._ok and not event._defused:
-                    raise event._value  # type: ignore[misc]
-                if (
-                    event.__class__ is timeout_cls
-                    and refcount is not None
-                    and refcount(event) == solo
-                    and len(pool) < pool_max
-                ):
-                    # Nothing but this frame can see the fired timeout:
-                    # recycle it, handing back its (cleared) callbacks
-                    # list so timeout() need not allocate a fresh one.
-                    callbacks.clear()  # type: ignore[union-attr]
-                    event.callbacks = callbacks
-                    pool.append(event)
-            return None
-
         while queue:
             if queue[0][0] > stop_time:
                 self._now = stop_time
                 return None
             when, _prio, _eid, event = pop(queue)
             self._now = when
+            # Event._run_callbacks, inlined (same order: callbacks first,
+            # then the unhandled-failure check).
             event._processed = True
             callbacks = event.callbacks
             event.callbacks = None
@@ -519,6 +482,9 @@ class Environment:
                 and refcount(event) == solo
                 and len(pool) < pool_max
             ):
+                # Nothing but this frame can see the fired timeout:
+                # recycle it, handing back its (cleared) callbacks list
+                # so timeout() need not allocate a fresh one.
                 callbacks.clear()  # type: ignore[union-attr]
                 event.callbacks = callbacks
                 pool.append(event)

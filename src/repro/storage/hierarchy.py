@@ -106,7 +106,6 @@ class StorageHierarchy:
             self._location.pop(key, None)
             tier.drop(key)
         tier.fail()
-        tier.reset_score_bounds()
         self.tier_failures += 1
         self.segments_displaced += len(displaced)
         return displaced

@@ -6,16 +6,13 @@ here, how many bytes are used) with a contended device model
 simulation processes that queue for the device's channels; residency
 bookkeeping is synchronous and always consistent.
 
-The ``min_score`` / ``max_score`` attributes are the per-tier score
-bounds of the paper's Algorithm 1 — they belong to the tier in the
-paper's pseudocode, so they live here, maintained by the placement
-engine.
+The tier keeps no scores: Algorithm 1's per-tier minimum score is read
+from the placement engine's per-tier heap of resident scores.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from typing import Generator, Iterable
 
 from repro.sim.core import Environment
@@ -29,10 +26,11 @@ __all__ = ["StorageTier", "TierHealth"]
 class TierHealth(enum.Enum):
     """Health state of a tier's device.
 
-    FAILED tiers advertise zero free capacity and reject admissions, so
-    the hardware monitor's capacity events automatically re-advertise
-    the loss to the placement engine; DEGRADED tiers stay usable but
-    serve I/O slower by a multiplicative factor.
+    FAILED tiers advertise zero free capacity and reject admissions
+    (the fault injector drains and re-homes them through
+    ``PlacementEngine.on_tier_failed``; the hardware monitor's capacity
+    events only update its ``tier_free`` view); DEGRADED tiers stay
+    usable but serve I/O slower by a multiplicative factor.
     """
 
     HEALTHY = "healthy"
@@ -68,9 +66,6 @@ class StorageTier:
         )
         self._resident: dict[SegmentKey, int] = {}
         self._used = 0
-        # Algorithm 1 score bounds (maintained by the placement engine).
-        self.min_score = math.inf
-        self.max_score = -math.inf
         # health state (driven by the fault injector; HEALTHY in normal runs)
         self.health = TierHealth.HEALTHY
         self.slowdown = 1.0
@@ -217,11 +212,6 @@ class StorageTier:
             return
         self.slowdown = 1.0
         self.health = TierHealth.HEALTHY
-
-    def reset_score_bounds(self) -> None:
-        """Clear the Algorithm 1 score window (empty-tier state)."""
-        self.min_score = math.inf
-        self.max_score = -math.inf
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -26,7 +26,7 @@ Usage::
     telemetry.export_chrome_trace("run.trace.json")
     print(telemetry.summary_table())
 
-A ``telemetry=None`` (or :class:`NullTelemetry`) run is bit-identical to
+A ``telemetry=None`` run is bit-identical to
 one without the subsystem — the same guarantee the fault-injection layer
 makes, enforced by ``tests/telemetry/test_equivalence.py``.
 """
@@ -46,7 +46,7 @@ from repro.telemetry.exporters import (
     export_metrics_jsonl,
     metrics_records,
 )
-from repro.telemetry.handle import NullTelemetry, Telemetry, live
+from repro.telemetry.handle import Telemetry
 from repro.telemetry.registry import Histogram, MetricRegistry
 from repro.telemetry.schema import (
     CHROME_TRACE_SCHEMA,
@@ -57,8 +57,6 @@ from repro.telemetry.tracer import Span, SpanTracer, Stream
 
 __all__ = [
     "Telemetry",
-    "NullTelemetry",
-    "live",
     "Span",
     "SpanTracer",
     "Stream",

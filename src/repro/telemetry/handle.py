@@ -12,13 +12,12 @@ contributes headline numbers to
 ``RunResult.extra["telemetry"]``.
 
 Instrumentation contract (mirrors the fault subsystem's equivalence
-guarantee): layers hold ``telemetry = None`` unless a live, enabled
-handle was provided — the disabled path costs one attribute load and a
-``None`` check per site, and a run without telemetry is bit-identical
-to one that predates the subsystem.  :func:`live` performs that
-normalisation once, in the runner and the server; the components'
-``bind_telemetry`` methods receive the live handle.
-:class:`NullTelemetry` is the explicit disabled object.
+guarantee): telemetry off is ``telemetry=None``.  The runner and the
+server store the handle they were given, and layers hold
+``telemetry = None`` unless their ``bind_telemetry`` received a handle —
+the disabled path costs one attribute load and a ``None`` check per
+site, and a run without telemetry is bit-identical to one that predates
+the subsystem.
 
 Telemetry never advances the virtual clock, so even an *enabled* run
 produces the same :class:`~repro.metrics.collector.RunResult` as a
@@ -41,7 +40,7 @@ from repro.telemetry.tracer import SpanTracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.core import Environment
 
-__all__ = ["Telemetry", "NullTelemetry", "live"]
+__all__ = ["Telemetry"]
 
 
 class Telemetry:
@@ -63,8 +62,6 @@ class Telemetry:
         ``RunResult.extra["diagnosis"]``; the full report is available
         via :meth:`diagnosis_report`.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -294,55 +291,3 @@ class Telemetry:
     def __repr__(self) -> str:  # pragma: no cover
         spans = len(self.tracer) if self.tracer is not None else 0
         return f"<Telemetry {self.label!r} bound={self.bound} spans={spans} metrics={len(self.registry)}>"
-
-
-class NullTelemetry:
-    """The explicit do-nothing handle.
-
-    Passing this (or ``None``) disables instrumentation entirely:
-    :func:`live` maps it to ``None`` so every layer's guard is a single
-    ``is not None`` check — the zero-overhead path.
-    """
-
-    enabled = False
-    label = "null"
-    tracer = None
-    sample_interval = None
-    provenance = None
-
-    def bind(self, env) -> "NullTelemetry":
-        """No-op (matches :meth:`Telemetry.bind`)."""
-        return self
-
-    def diagnosis_report(self):
-        """Diagnosis is never on for the null handle."""
-        return None
-
-    @property
-    def bound(self) -> bool:
-        """Never bound."""
-        return False
-
-    def headline(self) -> dict:
-        """Nothing to report."""
-        return {}
-
-    def summary_table(self) -> str:
-        """Nothing to render."""
-        return "(telemetry disabled)"
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<NullTelemetry>"
-
-
-def live(telemetry) -> Optional[Telemetry]:
-    """Normalise a telemetry argument to ``Telemetry | None``.
-
-    ``None``, :class:`NullTelemetry` and anything with ``enabled=False``
-    all become ``None``, so instrumented layers store either a live
-    handle or ``None`` — never a disabled object they would keep
-    calling into.
-    """
-    if telemetry is None or not getattr(telemetry, "enabled", False):
-        return None
-    return telemetry

@@ -2,7 +2,7 @@
 the identical RunResult as an uninstrumented run (the provenance log
 never advances the clock or touches seeded RNG)."""
 
-from repro.telemetry.handle import NullTelemetry, Telemetry
+from repro.telemetry.handle import Telemetry
 
 from .conftest import (
     hfetch_config,
@@ -45,12 +45,6 @@ def test_disabled_diagnosis_has_no_provenance_and_no_extra_block():
     assert tel.diagnosis_report() is None
     _runner, result = run_plain(telemetry=tel)
     assert "diagnosis" not in result.extra
-
-
-def test_null_telemetry_exposes_no_provenance():
-    tel = NullTelemetry()
-    assert tel.provenance is None
-    assert tel.diagnosis_report() is None
 
 
 def test_enabled_diagnosis_populates_extra_block():

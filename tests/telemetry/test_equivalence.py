@@ -2,9 +2,9 @@
 
 Two guarantees, mirroring the fault subsystem's equivalence suite:
 
-* **disabled path**: ``telemetry=None`` and ``telemetry=NullTelemetry()``
-  install nothing — results are bit-identical to a run that predates the
-  subsystem, and no layer holds a handle.
+* **disabled path**: ``telemetry=None`` installs nothing — results are
+  bit-identical to a run that predates the subsystem, and no layer holds
+  a handle.
 * **enabled path** (stronger than the issue demands): because the tracer
   and registry only *read* the virtual clock and never schedule events,
   even a fully instrumented run produces the identical
@@ -14,20 +14,14 @@ Two guarantees, mirroring the fault subsystem's equivalence suite:
 from repro.metrics import format_run_results
 from repro.prefetchers import NoPrefetcher, ParallelPrefetcher
 from repro.runtime.runner import WorkflowRunner
-from repro.telemetry import NullTelemetry, Telemetry, live
+from repro.telemetry import Telemetry
 
 from .conftest import result_signature, run_hfetch, small_cluster, small_workload
 
 
 class TestDisabledPath:
-    def test_none_and_null_telemetry_identical(self):
-        _, r_none = run_hfetch(telemetry=None)
-        _, r_null = run_hfetch(telemetry=NullTelemetry())
-        assert result_signature(r_none) == result_signature(r_null)
-        assert format_run_results([r_none]) == format_run_results([r_null])
-
     def test_nothing_installed_without_telemetry(self):
-        runner, _ = run_hfetch(telemetry=NullTelemetry())
+        runner, _ = run_hfetch(telemetry=None)
         server = runner.prefetcher.server
         assert runner.telemetry is None
         assert runner.ctx.telemetry is None
@@ -43,12 +37,6 @@ class TestDisabledPath:
     def test_extra_has_no_telemetry_key(self):
         _, result = run_hfetch()
         assert "telemetry" not in result.extra
-
-    def test_live_normalisation(self):
-        assert live(None) is None
-        assert live(NullTelemetry()) is None
-        tel = Telemetry()
-        assert live(tel) is tel
 
 
 class TestEnabledEquivalence:

@@ -181,11 +181,6 @@ class TestMetricsJsonl:
 
 
 class TestSummaryTable:
-    def test_null_telemetry_summary(self):
-        from repro.telemetry import NullTelemetry
-
-        assert NullTelemetry().summary_table() == "(telemetry disabled)"
-
     def test_unbound_handle_export_raises(self):
         tel = Telemetry()
         with pytest.raises(RuntimeError):

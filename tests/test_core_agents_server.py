@@ -62,10 +62,10 @@ def test_read_open_starts_epoch_and_installs_watch():
     agent = mgr.connect(1)
     agent.open("/f", OpenMode.READ)
     assert auditor.in_epoch("/f")
-    assert ino.is_watched("/f")
+    assert ino.active_watches == 1
     agent.close("/f")
     assert not auditor.in_epoch("/f")
-    assert not ino.is_watched("/f")
+    assert ino.active_watches == 0
 
 
 def test_write_only_open_is_ignored():
@@ -73,7 +73,7 @@ def test_write_only_open_is_ignored():
     agent = mgr.connect(1)
     agent.open("/f", OpenMode.WRITE)
     assert not auditor.in_epoch("/f")
-    assert not ino.is_watched("/f")
+    assert ino.active_watches == 0
     agent.close("/f")  # must not raise or end any epoch
     assert mgr.epochs_ended == 0
 
@@ -85,9 +85,9 @@ def test_multiple_openers_single_watch():
     b.open("/f")
     assert ino.watches_installed == 1
     a.close("/f")
-    assert ino.is_watched("/f")
+    assert ino.active_watches == 1
     b.close("/f")
-    assert not ino.is_watched("/f")
+    assert ino.active_watches == 0
 
 
 def test_agent_read_emits_enriched_event():

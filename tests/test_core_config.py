@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core.config import GB, HFetchConfig, TierBudget
+from repro.core.config import GB, HFetchConfig
+from repro.runtime.cluster import ClusterSpec
 
 
 def test_defaults_match_paper():
@@ -12,9 +13,10 @@ def test_defaults_match_paper():
     assert c.engine_interval == 1.0  # "e.g., every 1 sec"
     assert c.engine_update_threshold == 100  # medium reactiveness
     assert c.daemon_threads + c.engine_threads == 8  # the paper's server uses 8 threads
-    # Fig. 4(a) default cache layout: 5 / 15 / 20 GB
-    assert [b.capacity for b in c.tier_budgets] == [5 * GB, 15 * GB, 20 * GB]
-    assert c.total_cache_bytes == 40 * GB
+    # Fig. 4(a) default cache layout, read from the cluster: 5 / 15 / 20 GB
+    tiers = ClusterSpec().tiers
+    assert [t.profile.name for t in tiers] == ["RAM", "NVMe", "BurstBuffer"]
+    assert [t.capacity for t in tiers] == [5 * GB, 15 * GB, 20 * GB]
 
 
 @pytest.mark.parametrize(
@@ -30,17 +32,12 @@ def test_defaults_match_paper():
         dict(lookahead_depth=-1),
         dict(lookahead_discount=0.0),
         dict(lookahead_discount=1.5),
-        dict(tier_budgets=()),
+        dict(prefetch_max_retries=-1),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         HFetchConfig(**kwargs)
-
-
-def test_tier_budget_positive():
-    with pytest.raises(ValueError):
-        TierBudget("RAM", 0)
 
 
 def test_with_reactiveness_presets():

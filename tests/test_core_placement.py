@@ -225,14 +225,20 @@ def test_zero_score_segments_not_placed():
 
 
 # ------------------------------------------------- placement invariants
-def assert_placement_invariants(hier):
-    """Each segment in at most one tier; per-tier score bounds ordered."""
+def assert_placement_invariants(hier, engine):
+    """Each segment in at most one tier, and each tier's lazy min-heap
+    holds a live entry for exactly its residents."""
     hier.check_invariants()  # exclusivity + ledger/resident agreement
     for tier in hier.tiers:
-        # bounds are advisory (lazily maintained) and may be stale for an
-        # empty tier, but an occupied tier must keep them ordered
-        if tier.resident_count:
-            assert tier.min_score <= tier.max_score
+        resident = set(tier.resident_keys())
+        live = {
+            key for score, _seq, key in engine._heaps[tier.name]
+            if score == engine._scores.get(key)
+        }
+        # every resident can be found as a minimum / demotion victim ...
+        assert resident <= live, f"{tier.name}: residents without a live heap entry"
+        # ... and no live entry names a segment held elsewhere (or nowhere)
+        assert live <= resident, f"{tier.name}: live heap entry for a non-resident"
 
 
 def test_invariants_hold_under_mixed_operation_sequence():
@@ -265,7 +271,7 @@ def test_invariants_hold_under_mixed_operation_sequence():
             assert all(
                 hier.locate(SegmentKey("/f", i)) is None for i in range(10)
             )
-        assert_placement_invariants(hier)
+        assert_placement_invariants(hier, engine)
     # the sequence must actually have exercised demotions
     assert engine.segments_demoted >= 1
     assert engine.segments_placed >= 5
@@ -280,7 +286,7 @@ def test_invariants_hold_with_demote_to_bottom_and_eviction():
         for _ in range(4 + wave):
             touch(auditor, idx, t=env.now, times=1)
         run_pass(env, engine)
-        assert_placement_invariants(hier)
+        assert_placement_invariants(hier, engine)
     resident = [hier.locate(SegmentKey("/f", i)) for i in range(4)]
     assert sum(1 for r in resident if r is not None) <= 3
 

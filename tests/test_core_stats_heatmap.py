@@ -133,12 +133,6 @@ def test_heatmap_hottest_ordering():
         hm.hottest(0)
 
 
-def test_heatmap_temperature_out_of_range_zero():
-    hm = FileHeatmap("f", np.array([1.0]))
-    assert hm.temperature(0) == 1.0
-    assert hm.temperature(5) == 0.0
-
-
 def test_heatmap_merge_decays_history():
     old = FileHeatmap("f", np.array([4.0, 0.0]))
     new = FileHeatmap("f", np.array([1.0, 1.0, 1.0]))

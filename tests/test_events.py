@@ -95,9 +95,9 @@ def test_watch_refcount_first_installs_last_removes():
     ino.add_watch("f")  # second opener bumps refcount
     assert ino.active_watches == 1
     assert not ino.rm_watch("f")  # first closer: watch stays
-    assert ino.is_watched("f")
+    assert ino.active_watches == 1
     assert ino.rm_watch("f")  # last closer removes
-    assert not ino.is_watched("f")
+    assert ino.active_watches == 0
     assert ino.watches_installed == 1 and ino.watches_removed == 1
 
 

@@ -1,10 +1,7 @@
-"""Tests for the extension features: multi-version heatmaps and trace
-import/export."""
+"""Tests for the extension features: trace import/export."""
 
-import numpy as np
 import pytest
 
-from repro.core.heatmap import FileHeatmap, HeatmapStore, heatmap_similarity
 from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster
 from repro.runtime.runner import WorkflowRunner
@@ -16,75 +13,6 @@ from repro.workloads.io_traces import (
 from repro.workloads.synthetic import partitioned_sequential_workload
 
 MB = 1 << 20
-
-
-# ----------------------------------------------------- multi-version heatmaps
-def test_similarity_identical_is_one():
-    a = FileHeatmap("f", np.array([1.0, 2.0, 0.0]))
-    assert heatmap_similarity(a, a) == pytest.approx(1.0)
-
-
-def test_similarity_orthogonal_is_zero():
-    a = FileHeatmap("f", np.array([1.0, 0.0]))
-    b = FileHeatmap("f", np.array([0.0, 1.0]))
-    assert heatmap_similarity(a, b) == pytest.approx(0.0)
-
-
-def test_similarity_handles_length_mismatch_and_flat():
-    a = FileHeatmap("f", np.array([1.0]))
-    b = FileHeatmap("f", np.array([1.0, 0.0, 0.0]))
-    assert heatmap_similarity(a, b) == pytest.approx(1.0)
-    flat = FileHeatmap("f", np.array([0.0, 0.0]))
-    assert heatmap_similarity(a, flat) == 0.0
-
-
-def test_similarity_rejects_different_files():
-    with pytest.raises(ValueError):
-        heatmap_similarity(
-            FileHeatmap("a", np.array([1.0])), FileHeatmap("b", np.array([1.0]))
-        )
-
-
-def test_store_retains_versions_up_to_limit():
-    store = HeatmapStore(max_versions=2)
-    for i in range(3):
-        store.save(FileHeatmap("f", np.array([float(i + 1)])))
-    versions = store.versions("f")
-    assert len(versions) == 2
-    assert versions[0].scores[0] == 2.0  # oldest retained
-    assert versions[1].scores[0] == 3.0
-
-
-def test_store_best_fit_picks_matching_epoch():
-    store = HeatmapStore(max_versions=4)
-    # epoch A: hot at the front; epoch B: hot at the back
-    front = FileHeatmap("f", np.array([5.0, 4.0, 0.0, 0.0]))
-    back = FileHeatmap("f", np.array([0.0, 0.0, 4.0, 5.0]))
-    store.save(front)
-    store.save(back)
-    observed = FileHeatmap("f", np.array([1.0, 0.5, 0.0, 0.0]))  # front-ish
-    assert store.best_fit(observed) is front
-    observed2 = FileHeatmap("f", np.array([0.0, 0.0, 0.7, 1.0]))
-    assert store.best_fit(observed2) is back
-
-
-def test_store_best_fit_falls_back_to_merged():
-    store = HeatmapStore()
-    store.save(FileHeatmap("f", np.array([1.0, 0.0])))
-    orthogonal = FileHeatmap("f", np.array([0.0, 1.0]))
-    assert store.best_fit(orthogonal) is not None  # merged latest
-
-
-def test_store_version_limit_validation():
-    with pytest.raises(ValueError):
-        HeatmapStore(max_versions=0)
-
-
-def test_store_delete_drops_versions():
-    store = HeatmapStore(max_versions=3)
-    store.save(FileHeatmap("f", np.array([1.0])))
-    store.delete("f")
-    assert store.versions("f") == []
 
 
 # -------------------------------------------------------------------- traces

@@ -35,12 +35,6 @@ def test_node_of_rank_negative_rejected():
         ClusterTopology().node_of_rank(-1)
 
 
-def test_ranks_on_node():
-    t = ClusterTopology(compute_nodes=2, cores_per_node=3)
-    assert t.ranks_on_node(0, total_ranks=6) == [0, 1, 2]
-    assert t.ranks_on_node(1, total_ranks=6) == [3, 4, 5]
-
-
 def test_scaled_to():
     t = ClusterTopology()
     scaled = t.scaled_to(100)
@@ -66,11 +60,6 @@ def test_bulk_transfer_costs_bandwidth_time():
 
 def test_rdma_faster_than_tcp_per_message():
     assert RDMA.message_latency < TCP.message_latency
-
-
-def test_metadata_cost_estimate_positive():
-    comm = NodeCommunicator(Environment(), ClusterTopology())
-    assert comm.metadata_cost() > 0
 
 
 def test_fabric_contention_across_transfers():

@@ -356,20 +356,6 @@ def test_determinism_same_script_same_trace():
     assert script() == script()
 
 
-def test_active_process_visible_during_resume():
-    env = Environment()
-    observed = []
-
-    def body(env):
-        observed.append(env.active_process)
-        yield env.timeout(1)
-
-    proc = env.process(body(env))
-    env.run()
-    assert observed == [proc]
-    assert env.active_process is None
-
-
 # ------------------------------------------------------- timeout pooling
 def test_held_timeout_reference_is_never_recycled():
     """A fired Timeout someone still references keeps its value intact."""

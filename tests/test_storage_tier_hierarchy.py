@@ -1,6 +1,5 @@
 """Unit tests for tiers and the hierarchy (repro.storage.tier / .hierarchy)."""
 
-import math
 
 import pytest
 
@@ -97,13 +96,6 @@ def test_tier_read_write_take_simulated_time():
     assert env.now == pytest.approx(0.4)
     assert t.reads == 1 and t.writes == 1
     assert t.bytes_read == 100 and t.bytes_written == 100
-
-
-def test_tier_score_bounds_reset():
-    t = StorageTier(Environment(), DRAM, MB)
-    t.min_score, t.max_score = 1.0, 2.0
-    t.reset_score_bounds()
-    assert t.min_score == math.inf and t.max_score == -math.inf
 
 
 # -------------------------------------------------------------- hierarchy
