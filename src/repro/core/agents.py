@@ -51,11 +51,13 @@ class AgentManager:
         self.auditor = auditor
         self.inotify = inotify
         self.io_clients = io_clients
-        # segment->tier mapping queries go through the DHM cost model
+        # Every segment->tier query is charged as a ``get`` on this map,
+        # but nothing is ever written to it: the answer comes from the
+        # hierarchy's ledger and the I/O clients' in-flight map (see
+        # ``locate``).  Only its cost model and shard state matter.
         self.mapping_map = mapping_map if mapping_map is not None else DistributedHashMap(shards=1)
         self._agents: dict[int, "Agent"] = {}
         # instrumentation
-        self.epochs_started = 0
         self.epochs_ended = 0
         self.location_queries = 0
 
@@ -79,7 +81,6 @@ class AgentManager:
         first = self.auditor.start_epoch(file_id)
         if first:
             self.inotify.add_watch(file_id)
-        self.epochs_started += 1
 
     def end_epoch(self, file_id: str) -> None:
         """An agent observed the matching fclose."""
@@ -98,7 +99,7 @@ class AgentManager:
         """
         self.location_queries += 1
         before = self.mapping_map.total_cost
-        # the mapping lives logically in the DHM; we charge a get per query
+        # the mapping lives logically in the DHM: charge a get per query
         self.mapping_map.get(key, from_shard=node % self.mapping_map.shards)
         cost = self.mapping_map.total_cost - before
         return self.io_clients.serving_tier_name(key), cost

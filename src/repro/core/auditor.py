@@ -8,10 +8,10 @@ the placement engine drains on each trigger ("All updated scores are
 pushed by the auditor into a vector which the engine processes",
 §III-D).
 
-The auditor is also HFetch's internal metadata manager: it owns the
-segment→tier mappings (where in the hierarchy each segment currently is)
-and the per-file prefetching-epoch accounting (a file is targeted for
-prefetching only while open for reading, §III-B).
+The auditor also keeps the per-file prefetching-epoch accounting (a
+file is targeted for prefetching only while open for reading, §III-B).
+It does not track where segments are: ``locate`` queries are answered
+by the hierarchy's residency ledger and the I/O clients' in-flight map.
 """
 
 from __future__ import annotations
@@ -36,9 +36,18 @@ _WRITE = EventType.WRITE
 # ``SegmentKey(fid, i)`` without the generated ``__new__``'s extra frame
 _tuple_new = tuple.__new__
 
+#: Capacity of the dirty-score vector ("all updated scores are pushed by
+#: the auditor into a vector which the engine processes", §III-D).  Like
+#: the kernel's event queue, the buffer is bounded: score updates arriving
+#: while it is full are dropped (the statistics in the hash map survive;
+#: only the placement hint is lost).  A sluggish engine therefore *loses*
+#: the freshest placement candidates — the cost of low reactiveness in
+#: Fig. 3(b).
+DIRTY_VECTOR_CAPACITY = 1024
+
 
 class FileSegmentAuditor:
-    """Segment statistics, mappings and epochs, backed by the DHM."""
+    """Segment statistics, sequencing links and epochs, backed by the DHM."""
 
     def __init__(
         self,
@@ -80,7 +89,7 @@ class FileSegmentAuditor:
         # listeners told how many score updates each fold made (the
         # engine's count trigger)
         self._update_listeners: list[Callable[[int], None]] = []
-        # invalidation hook installed by the server (hierarchy eviction)
+        # invalidation hook installed by the server (the engine's eviction)
         self.invalidate_hook: Optional[Callable[[str], None]] = None
         # instrumentation
         self.events_processed = 0
@@ -208,10 +217,8 @@ class FileSegmentAuditor:
         shard_of = stats_map.shard_of
         local_shard = stats_map.local_shard
         wal = stats_map.wal
-        config = self.config
         dirty = self._dirty
-        dirty_cap = config.dirty_vector_capacity
-        max_history = config.max_history
+        dirty_cap = DIRTY_VECTOR_CAPACITY
         last_segment = self._last_segment
         home_node = self._home_node
         file_streams = self._file_streams
@@ -270,7 +277,6 @@ class FileSegmentAuditor:
                         stats = SegmentStats(
                             key=key,
                             nbytes=seg_size if index < last_index else last_nbytes,
-                            max_history=max_history,
                         )
                         shard[key] = stats
                         fkeys = self._file_keys.get(fid)

@@ -121,7 +121,6 @@ class HeatmapStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._maps: dict[str, FileHeatmap] = {}
-        self.saves = 0
         self.loads = 0
 
     def _path_for(self, file_id: str) -> Optional[Path]:
@@ -139,7 +138,6 @@ class HeatmapStore:
         path = self._path_for(heatmap.file_id)
         if path is not None:
             path.write_text(heatmap.to_json())
-        self.saves += 1
 
     def load(self, file_id: str) -> Optional[FileHeatmap]:
         """Fetch the stored heatmap for a re-opened file, if any."""

@@ -26,6 +26,11 @@ from repro.storage.tier import StorageTier
 
 __all__ = ["MoveInstruction", "IOClientPool"]
 
+#: Bounded retry budget of an I/O client per failed segment movement;
+#: once exhausted the placement is rolled back and the application
+#: demand-fetches from the origin.
+PREFETCH_MAX_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class MoveInstruction:
@@ -58,14 +63,11 @@ class IOClientPool:
         comm: Optional[NodeCommunicator] = None,
         workers_per_tier: int = 1,
         batch_segments: int = 8,
-        max_retries: int = 2,
     ):
         if workers_per_tier < 1:
             raise ValueError("workers_per_tier must be >= 1")
         if batch_segments < 1:
             raise ValueError("batch_segments must be >= 1")
-        if max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
         self.env = env
         self.hierarchy = hierarchy
         self.comm = comm
@@ -83,9 +85,6 @@ class IOClientPool:
         #: segments whose physical movement has not completed yet,
         #: mapped to the tier name that still serves them.
         self.in_flight: dict[SegmentKey, str] = {}
-        #: bounded retry budget per instruction before it falls back to
-        #: demand fetching
-        self.max_retries = max_retries
         #: fault-injection hook: ``hook(instruction) -> True`` fails the
         #: move at the device (installed by the chaos injector; None in
         #: normal runs)
@@ -262,7 +261,7 @@ class IOClientPool:
         subsequent application reads of the segment demand-fetch from its
         origin — the prefetch simply never happened.
         """
-        if ins.retries < self.max_retries:
+        if ins.retries < PREFETCH_MAX_RETRIES:
             self.move_retries += 1
             if self.failure_listener is not None:
                 self.failure_listener("prefetch_retry")

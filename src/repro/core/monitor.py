@@ -7,7 +7,7 @@ either file accesses or tier remaining-capacity reports.
 
 The daemon pool is the measurable half of Fig. 3(a): with a fixed total
 thread budget, more daemons mean more event-queue throughput (each event
-costs ``event_service_time`` of daemon work plus a short serialised
+costs ``EVENT_SERVICE_TIME`` of daemon work plus a short serialised
 auditor critical section, which is why scaling is sub-linear).
 """
 
@@ -25,6 +25,17 @@ from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["HardwareMonitor"]
 
+#: Per-event processing cost of one daemon thread, seconds.  25 µs yields
+#: the paper's >200K events/s with 6 daemons (Fig. 3(a)).
+EVENT_SERVICE_TIME = 25e-6
+
+#: Serialised auditor critical section per event (lock + map update),
+#: seconds.  Limits daemon scaling sub-linearly, as observed.
+AUDITOR_LOCK_TIME = 2e-6
+
+#: Virtual seconds between two tier remaining-capacity reports.
+CAPACITY_REPORT_INTERVAL = 1.0
+
 
 class HardwareMonitor:
     """Daemon pool consuming the event queue into the auditor."""
@@ -36,14 +47,12 @@ class HardwareMonitor:
         queue: EventQueue,
         auditor: FileSegmentAuditor,
         hierarchy: Optional[StorageHierarchy] = None,
-        capacity_report_interval: float = 1.0,
     ):
         self.env = env
         self.config = config
         self.queue = queue
         self.auditor = auditor
         self.hierarchy = hierarchy
-        self.capacity_report_interval = capacity_report_interval
         # The auditor's hash-map update is a short serialised section —
         # daemons contend on it, bounding their aggregate throughput.
         self._auditor_lock = Resource(env, capacity=1)
@@ -108,8 +117,8 @@ class HardwareMonitor:
         request = lock.request
         release = lock.release
         fold = self.auditor.on_events
-        service_time = self.config.event_service_time
-        lock_time = self.config.auditor_lock_time
+        service_time = EVENT_SERVICE_TIME
+        lock_time = AUDITOR_LOCK_TIME
         try:
             while True:
                 get = pop()
@@ -150,7 +159,7 @@ class HardwareMonitor:
         assert self.hierarchy is not None
         try:
             while True:
-                yield self.env.timeout(self.capacity_report_interval)
+                yield self.env.timeout(CAPACITY_REPORT_INTERVAL)
                 for tier in self.hierarchy.tiers:
                     self.queue.push(
                         CapacityEvent(

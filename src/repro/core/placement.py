@@ -57,6 +57,19 @@ from repro.storage.tier import StorageTier
 
 __all__ = ["PlacementEngine"]
 
+#: Per-plan-entry computation cost of the placement engine, seconds.
+PLACEMENT_SERVICE_TIME = 5e-6
+
+#: Demotion hysteresis: a newcomer only displaces a resident segment when
+#: its score exceeds the resident's by this factor.  Guards the engine
+#: against ping-pong movement between near-equal scores ("to avoid
+#: excessive data movements among the tiers", §III-D).
+DEMOTION_HYSTERESIS = 1.25
+
+#: Score discount per lookahead hop — a successor inherits this fraction
+#: of its predecessor's score per step of distance.
+LOOKAHEAD_DISCOUNT = 0.85
+
 
 class PlacementEngine:
     """Algorithm 1 driver with interval / update-count triggers."""
@@ -184,7 +197,7 @@ class PlacementEngine:
         now = self.env.now
         scores = self.auditor.batch_score(dirty, now)
         # planning cost: O(m * n) work split across the engine threads
-        work = len(dirty) * self.config.placement_service_time
+        work = len(dirty) * PLACEMENT_SERVICE_TIME
         yield self.env.timeout(work / max(1, self.config.engine_threads))
         candidates = list(self._candidates(dirty, scores.tolist()).items())
         # hotter first; ties broken randomly (paper's default policy).
@@ -227,7 +240,7 @@ class PlacementEngine:
         insertion order) is that of the full walks.
         """
         depth = self.config.lookahead_depth
-        discount = self.config.lookahead_discount
+        discount = LOOKAHEAD_DISCOUNT
         stats_of = self.auditor.stats_of
         files = self.auditor.fs
         candidates: dict[SegmentKey, float] = {}
@@ -320,7 +333,7 @@ class PlacementEngine:
             # freshly-read single-pass segment would cascade through the
             # tiers and the movement churn would drown the devices.
             last = self._scores.get(key, 0.0)
-            if score <= last * self.config.demotion_hysteresis:
+            if score <= last * DEMOTION_HYSTERESIS:
                 self._push(current, key, score)
                 return
         if score > self._admission_threshold(tier, nbytes):
@@ -345,7 +358,7 @@ class PlacementEngine:
                 break
             old_score, _seq, victim = top
             current = self.auditor.score_of(victim, now)  # decayed, fresh
-            if current * self.config.demotion_hysteresis >= score:
+            if current * DEMOTION_HYSTERESIS >= score:
                 # the coldest resident is still hotter than the newcomer
                 if current != old_score:
                     heapq.heappop(heap)

@@ -18,7 +18,6 @@ from typing import Optional
 from repro.core.agents import Agent, AgentManager
 from repro.core.auditor import FileSegmentAuditor
 from repro.core.config import HFetchConfig
-from repro.core.heatmap import HeatmapStore
 from repro.core.io_clients import IOClientPool
 from repro.core.monitor import HardwareMonitor
 from repro.core.placement import PlacementEngine
@@ -33,6 +32,10 @@ from repro.storage.hierarchy import StorageHierarchy
 
 __all__ = ["HFetchServer"]
 
+#: I/O client worker threads per tier on each compute node (the paper's
+#: Fig. 4(a) configuration gives HFetch four threads).
+IO_WORKERS_PER_TIER = 4
+
 
 class HFetchServer:
     """Fully wired HFetch instance over a given hierarchy."""
@@ -45,7 +48,6 @@ class HFetchServer:
         hierarchy: StorageHierarchy,
         comm: Optional[NodeCommunicator] = None,
         dhm_shards: int = 1,
-        heatmap_store: Optional[HeatmapStore] = None,
         telemetry=None,
     ):
         self.env = env
@@ -62,15 +64,8 @@ class HFetchServer:
         self.stats_map = DistributedHashMap(
             shards=dhm_shards,
             wal=WriteAheadLog() if config.dhm_wal else None,
-            max_retries=config.dhm_max_retries,
-            retry_backoff=config.dhm_retry_backoff,
         )
-        self.auditor = FileSegmentAuditor(
-            config,
-            fs,
-            stats_map=self.stats_map,
-            heatmaps=heatmap_store if heatmap_store is not None else HeatmapStore(),
-        )
+        self.auditor = FileSegmentAuditor(config, fs, stats_map=self.stats_map)
         self.monitor = HardwareMonitor(env, config, self.queue, self.auditor, hierarchy)
         # one HFetch server runs per compute node (paper Fig. 1), so the
         # fleet of I/O client threads scales with the nodes in the job
@@ -79,21 +74,15 @@ class HFetchServer:
             env,
             hierarchy,
             comm=comm,
-            workers_per_tier=config.io_workers_per_tier * nodes,
-            batch_segments=config.io_batch_segments,
-            max_retries=config.prefetch_max_retries,
+            workers_per_tier=IO_WORKERS_PER_TIER * nodes,
         )
         self.engine = PlacementEngine(env, config, hierarchy, self.auditor, self.io_clients)
         self.agent_manager = AgentManager(
             env, self.auditor, self.inotify, self.io_clients,
-            mapping_map=DistributedHashMap(
-                shards=dhm_shards,
-                max_retries=config.dhm_max_retries,
-                retry_backoff=config.dhm_retry_backoff,
-            ),
+            mapping_map=DistributedHashMap(shards=dhm_shards),
         )
         # writes on watched files invalidate prefetched data (§III-B)
-        self.auditor.invalidate_hook = self._invalidate_file
+        self.auditor.invalidate_hook = self.engine.invalidate_file
         self._started = False
         if tel is not None:
             self._bind_telemetry(tel)
@@ -140,13 +129,6 @@ class HFetchServer:
     def connect(self, pid: int, node: int = 0) -> Agent:
         """Attach an application process (its ``MPI_Init`` moment)."""
         return self.agent_manager.connect(pid, node)
-
-    # -- internals --------------------------------------------------------------
-    def _invalidate_file(self, file_id: str) -> None:
-        self.engine.invalidate_file(file_id)
-        # stragglers the engine no longer tracks still count as
-        # consistency invalidations for the waste analyzer
-        self.hierarchy.invalidate_file(file_id, cause="invalidated")
 
     # -- diagnostics -------------------------------------------------------------
     def metrics(self) -> dict:

@@ -15,17 +15,20 @@ Provides the operations the paper's auditor depends on (§III-A.2):
 * Optional write-ahead logging for power-down fault tolerance.
 
 What the cost model charges: the auditor's fold (every statistics
-update and sequencing-link read) and the agents' mapping lookups.  The
-placement engine's reads of the statistics map go through the uncharged
-:meth:`DistributedHashMap.peek` instead: the engine runs inside the
-server and reads its co-located view of the map, so in this model those
-reads cost nothing.  ``peek`` still reads through the staged overlay and
-the write-ahead log while a shard is down, so fault runs see the same
+update and sequencing-link read), the agents' mapping lookups, and the
+placement engine's score reads — a charged ``get`` per
+:meth:`~repro.core.auditor.FileSegmentAuditor.score_of` (demotion
+victims, re-homing) and a charged ``get_many`` per
+:meth:`~repro.core.auditor.FileSegmentAuditor.batch_score` (each pass's
+dirty vector).  Only the engine's lookahead walk and its segment-size
+lookups read through the uncharged :meth:`DistributedHashMap.peek`:
+the engine runs inside the server and reads its co-located view of the
+map.  ``peek`` still reads through the staged overlay and the
+write-ahead log while a shard is down, so fault runs see the same
 records; it only skips the op counters, ``total_cost`` and the retry
-charge.  On the Montage benchmark workload this takes about 87% of the
-stats map's ``gets`` off the books.  No ``RunResult`` field reads the
-stats map's cost (only the mapping map's cost becomes simulated time,
-in :mod:`repro.core.agents`), so no simulated result moves.
+charge.  No ``RunResult`` field reads the stats map's cost (only the
+mapping map's cost becomes simulated time, in
+:mod:`repro.core.agents`).
 """
 
 from __future__ import annotations
@@ -37,6 +40,14 @@ from repro.dhm.partition import KeyPartitioner
 from repro.dhm.wal import WriteAheadLog
 
 __all__ = ["OpCost", "DistributedHashMap"]
+
+#: Retries against a down shard before an op falls back to the
+#: staged-overlay / WAL read-through path.
+DHM_MAX_RETRIES = 3
+
+#: Backoff latency per retry against a down shard, seconds (charged into
+#: the cost model while the shard is out).
+DHM_RETRY_BACKOFF = 5e-6
 
 
 class _Tombstone:
@@ -63,7 +74,6 @@ class _ShardOverlay(dict):
     def __init__(self, wal_state):
         super().__init__()
         self._wal_state = wal_state  # zero-arg callable -> recovered dict
-        self.fallback_reads = 0
 
     def get(self, key, default=None):
         try:
@@ -74,7 +84,6 @@ class _ShardOverlay(dict):
                 return default
             value = state[key]
             dict.__setitem__(self, key, value)
-            self.fallback_reads += 1
         return default if value is _TOMBSTONE else value
 
     def __contains__(self, key) -> bool:
@@ -116,19 +125,10 @@ class DistributedHashMap:
         shards: int = 1,
         cost: OpCost = OpCost(),
         wal: Optional[WriteAheadLog] = None,
-        virtual_nodes: int = 64,
-        max_retries: int = 3,
-        retry_backoff: float = 5e-6,
     ):
-        if max_retries < 1:
-            raise ValueError(f"max_retries must be >= 1, got {max_retries}")
-        if retry_backoff < 0:
-            raise ValueError(f"retry_backoff must be >= 0, got {retry_backoff}")
-        self.partitioner = KeyPartitioner(shards, virtual_nodes=virtual_nodes)
+        self.partitioner = KeyPartitioner(shards)
         self.cost = cost
         self.wal = wal
-        self.max_retries = max_retries
-        self.retry_backoff = retry_backoff
         self._shards: list[dict[Hashable, Any]] = [dict() for _ in range(shards)]
         # shard-outage state (empty in healthy runs — the hot paths only
         # pay a falsy-set check)
@@ -153,7 +153,6 @@ class DistributedHashMap:
         self.retries = 0
         self.shard_failures = 0
         self.shard_recoveries = 0
-        self.staged_merged = 0
         # telemetry (None in normal runs: zero overhead)
         self._h_op = None
         self._h_batch_cost = None
@@ -208,14 +207,14 @@ class DistributedHashMap:
     def _charge_degraded(self) -> None:
         """Account retry-with-backoff latency for an op on a down shard.
 
-        The caller retries ``max_retries`` times against the dead shard
-        (each a remote round plus a backoff sleep) before falling back
-        to the staged overlay / WAL read-through.
+        The caller retries ``DHM_MAX_RETRIES`` times against the dead
+        shard (each a remote round plus a backoff sleep) before falling
+        back to the staged overlay / WAL read-through.
         """
-        n = self.max_retries
+        n = DHM_MAX_RETRIES
         self.retries += n
         self.degraded_ops += 1
-        self.total_cost += n * (self.cost.remote + self.retry_backoff)
+        self.total_cost += n * (self.cost.remote + DHM_RETRY_BACKOFF)
 
     # -- operations -------------------------------------------------------------
     def get(self, key: Hashable, default: Any = None, from_shard: Optional[int] = None) -> Any:
@@ -397,7 +396,6 @@ class DistributedHashMap:
                 real[key] = value
             merged += 1
         self.shard_recoveries += 1
-        self.staged_merged += merged
         return merged
 
     # -- bulk / scan (uncharged admin operations) ----------------------------------

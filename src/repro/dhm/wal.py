@@ -43,8 +43,6 @@ class WriteAheadLog:
             self._buf: BinaryIO = open(self.path, "ab+")
         else:
             self._buf = io.BytesIO()
-        self.records_written = 0
-        self.checkpoints = 0
 
     # -- writing ---------------------------------------------------------
     def _append(self, tag: bytes, payload: Any) -> None:
@@ -52,7 +50,6 @@ class WriteAheadLog:
         self._buf.write(tag)
         self._buf.write(len(blob).to_bytes(8, "little"))
         self._buf.write(blob)
-        self.records_written += 1
 
     def log_put(self, key: Hashable, value: Any) -> None:
         """Record a put/update of ``key``."""
@@ -65,7 +62,6 @@ class WriteAheadLog:
     def checkpoint(self, snapshot: dict) -> None:
         """Write a full snapshot and logically truncate older records."""
         self._append(_CHECKPOINT, dict(snapshot))
-        self.checkpoints += 1
 
     def flush(self) -> None:
         """Flush file-backed logs to the OS."""

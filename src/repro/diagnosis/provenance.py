@@ -87,8 +87,7 @@ class ProvenanceLog:
     MAX_SNAPSHOTS = 256
     SNAPSHOT_WIDTH = 64
 
-    def __init__(self, max_snapshots: int = MAX_SNAPSHOTS,
-                 snapshot_width: int = SNAPSHOT_WIDTH):
+    def __init__(self):
         self.events: list[tuple] = []
         self._append = self.events.append
         #: sid -> SegmentKey (interning table; index is the sid)
@@ -101,8 +100,6 @@ class ProvenanceLog:
         #: engine-pass plan snapshots for the drift tracker:
         #: ``(t, ((sid, score), ...))``, capped
         self.snapshots: list[tuple] = []
-        self.max_snapshots = max_snapshots
-        self.snapshot_width = snapshot_width
         self._snapshot_stride = 1
         self._snapshot_seen = 0
         # hierarchy shape (set once by the runner): fast -> slow
@@ -190,21 +187,22 @@ class ProvenanceLog:
         """Capture the head of an engine pass's hotness-sorted plan.
 
         ``plan`` is the engine's ``[(key, score), ...]`` sorted hotter
-        first.  To stay bounded on arbitrarily long runs the log keeps at
-        most ``max_snapshots`` snapshots by decimation: once full, every
-        second retained snapshot is dropped and the sampling stride
-        doubles — coverage stays spread over the whole run rather than
-        truncating at the front.
+        first; its first ``SNAPSHOT_WIDTH`` entries are kept.  To stay
+        bounded on arbitrarily long runs the log keeps at most
+        ``MAX_SNAPSHOTS`` snapshots by decimation: once full, every second
+        retained snapshot is dropped and the sampling stride doubles —
+        coverage stays spread over the whole run rather than truncating
+        at the front.
         """
         self._snapshot_seen += 1
         if (self._snapshot_seen - 1) % self._snapshot_stride:
             return
-        if len(self.snapshots) >= self.max_snapshots:
+        if len(self.snapshots) >= self.MAX_SNAPSHOTS:
             self.snapshots = self.snapshots[::2]
             self._snapshot_stride *= 2
             if (self._snapshot_seen - 1) % self._snapshot_stride:
                 return
-        head = plan[: self.snapshot_width]
+        head = plan[: self.SNAPSHOT_WIDTH]
         self.snapshots.append(
             (self.now, tuple((self.sid(k), float(s)) for k, s in head))
         )

@@ -15,7 +15,11 @@ from typing import Any, Optional
 from repro.sim.core import Environment, Event
 from repro.sim.resources import Store
 
-__all__ = ["EventQueue"]
+__all__ = ["EVENT_QUEUE_CAPACITY", "EventQueue"]
+
+#: Default capacity: events buffered before pushes are dropped (also
+#: the default of ``HFetchConfig.event_queue_capacity``).
+EVENT_QUEUE_CAPACITY = 1 << 16
 
 
 class EventQueue:
@@ -31,7 +35,7 @@ class EventQueue:
         slow consumer must never stall the file system.
     """
 
-    def __init__(self, env: Environment, capacity: int = 16384):
+    def __init__(self, env: Environment, capacity: int = EVENT_QUEUE_CAPACITY):
         if capacity < 1:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.env = env

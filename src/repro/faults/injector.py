@@ -162,7 +162,6 @@ class _IOFaults:
         self._specs = specs
         self._stream = stream
         self._record = record
-        self.injected = 0
 
     def __call__(self, instruction: "MoveInstruction") -> bool:
         now = self._env.now
@@ -174,7 +173,6 @@ class _IOFaults:
                 miss *= 1.0 - spec.probability
         p = 1.0 - miss
         if p > 0.0 and self._stream.uniform() < p:
-            self.injected += 1
             self._record(
                 FaultKind.PREFETCH_IO_ERROR,
                 f"{instruction.key} -> {instruction.dst_name}",

@@ -48,7 +48,6 @@ class ManagedCache:
         self.peak_used = 0
         self.evictions = 0
         self.fetches = 0
-        self.bytes_fetched = 0
 
     # -- queries -----------------------------------------------------------
     def ready(self, key: Hashable) -> bool:
@@ -135,7 +134,6 @@ class ManagedCache:
         if self.used > self.peak_used:
             self.peak_used = self.used
         self.fetches += 1
-        self.bytes_fetched += nbytes
 
     def abort_fetch(self, key: Hashable) -> None:
         """The fetch was abandoned; release the reservation."""

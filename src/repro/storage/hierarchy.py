@@ -45,7 +45,6 @@ class StorageHierarchy:
         self.promotions = 0
         self.demotions = 0
         self.tier_failures = 0
-        self.tier_recoveries = 0
         self.segments_displaced = 0
         #: the run's event log, set by the HFetch server in telemetry
         #: runs (its counters above reach the gauge timeline through
@@ -115,7 +114,6 @@ class StorageHierarchy:
         if tier is not self.backing and tier not in self.tiers:
             raise ValueError(f"{tier.name} is not part of this hierarchy")
         tier.recover()
-        self.tier_recoveries += 1
 
     # -- residency ---------------------------------------------------------
     def locate(self, key: SegmentKey) -> Optional[StorageTier]:
@@ -173,20 +171,6 @@ class StorageHierarchy:
         if self.prov is not None:
             self.prov.evict(key, tier.name, cause)
         return True
-
-    def evict_all(self, keys: Iterable[SegmentKey], cause: str = "evicted") -> int:
-        """Evict many keys; returns how many were actually resident."""
-        return sum(1 for k in list(keys) if self.evict(k, cause))
-
-    def invalidate_file(self, file_id: str, cause: str = "invalidated") -> int:
-        """Evict every resident segment of ``file_id``.
-
-        Used when a write/update event arrives on a watched file — HFetch
-        invalidates previously prefetched data to enforce consistency
-        (paper §III-A.1 / §III-B).
-        """
-        victims = [k for k in self._location if k.file_id == file_id]
-        return self.evict_all(victims, cause)
 
     def resident_segments(self) -> dict[SegmentKey, StorageTier]:
         """Snapshot of the full location map."""

@@ -74,8 +74,6 @@ class StorageTier:
         self.writes = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        self.admissions = 0
-        self.drops = 0
         self.peak_used = 0
         self.failures = 0
         self.recoveries = 0
@@ -133,7 +131,6 @@ class StorageTier:
             )
         self._resident[key] = nbytes
         self._used += nbytes
-        self.admissions += 1
         if self._used > self.peak_used:
             self.peak_used = self._used
 
@@ -144,7 +141,6 @@ class StorageTier:
         except KeyError:
             raise KeyError(f"{key} is not resident on {self.name}") from None
         self._used -= nbytes
-        self.drops += 1
         return nbytes
 
     # -- simulated I/O -----------------------------------------------------

@@ -3,7 +3,12 @@ and score consistency across a failover."""
 
 import pytest
 
-from repro.dhm.hashmap import DistributedHashMap, OpCost
+from repro.dhm.hashmap import (
+    DHM_MAX_RETRIES,
+    DHM_RETRY_BACKOFF,
+    DistributedHashMap,
+    OpCost,
+)
 from repro.dhm.wal import WriteAheadLog
 from repro.faults import FaultPlan
 
@@ -40,7 +45,7 @@ class TestShardOutageUnit:
         for i, k in enumerate(keys):
             assert dhm.get(k) == i * 10
         assert dhm.degraded_ops > 0
-        assert dhm.retries == dhm.degraded_ops * dhm.max_retries
+        assert dhm.retries == dhm.degraded_ops * DHM_MAX_RETRIES
 
     def test_reads_without_wal_are_lossy(self):
         dhm = DistributedHashMap(shards=4)  # no WAL
@@ -56,15 +61,17 @@ class TestShardOutageUnit:
 
     def test_degraded_ops_charge_retry_backoff(self):
         cost = OpCost(local=1e-6, remote=10e-6)
-        dhm = DistributedHashMap(shards=4, cost=cost, max_retries=3, retry_backoff=5e-6)
+        dhm = DistributedHashMap(shards=4, cost=cost)
         key = keys_on_shard(dhm, 0, n=1)[0]
         dhm.put(key, 1)
         before = dhm.total_cost
         dhm.fail_shard(0)
         dhm.get(key)
         spent = dhm.total_cost - before
-        # one charged get plus 3 retries x (remote + backoff)
-        assert spent >= 3 * (cost.remote + 5e-6)
+        # one charged get plus the retries, each a remote round + backoff
+        assert spent == pytest.approx(
+            cost.local + DHM_MAX_RETRIES * (cost.remote + DHM_RETRY_BACKOFF)
+        )
 
     def test_writes_stage_and_merge_on_recovery(self):
         dhm = DistributedHashMap(shards=4, wal=WriteAheadLog())

@@ -50,20 +50,24 @@ def test_tau_partial_disagreement_between_bounds():
 
 # --------------------------------------------------------------- snapshots
 def test_snapshot_decimation_stays_bounded():
-    prov = ProvenanceLog(max_snapshots=8, snapshot_width=4)
-    for i in range(1000):
-        prov.snapshot([(f"k{j}", float(j)) for j in range(10)])
-    assert len(prov.snapshots) <= 8
+    prov = ProvenanceLog()
+    width = ProvenanceLog.SNAPSHOT_WIDTH
+    plan = [(f"k{j}", float(j)) for j in range(width + 10)]
+    for i in range(4 * ProvenanceLog.MAX_SNAPSHOTS):
+        prov.snapshot(plan)
+    assert len(prov.snapshots) <= ProvenanceLog.MAX_SNAPSHOTS
     assert prov._snapshot_stride > 1
     # width cap holds on every retained snapshot
-    assert all(len(entries) <= 4 for _t, entries in prov.snapshots)
+    assert all(len(entries) == width for _t, entries in prov.snapshots)
 
 
 def test_snapshot_keeps_hot_head():
-    prov = ProvenanceLog(snapshot_width=2)
-    prov.snapshot([("hot", 9.0), ("warm", 5.0), ("cold", 1.0)])
+    prov = ProvenanceLog()
+    width = ProvenanceLog.SNAPSHOT_WIDTH
+    # hotter first: the plan's head is the highest scores
+    prov.snapshot([(f"k{j}", float(width - j)) for j in range(width + 1)])
     (_t, entries), = prov.snapshots
-    assert [s for _sid, s in entries] == [9.0, 5.0]
+    assert [s for _sid, s in entries] == [float(width - j) for j in range(width)]
 
 
 # ----------------------------------------------------------------- analyze

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.auditor import FileSegmentAuditor
+from repro.core.auditor import DIRTY_VECTOR_CAPACITY, FileSegmentAuditor
 from repro.core.config import HFetchConfig
 from repro.core.stats import SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
@@ -85,11 +85,7 @@ def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
 
         def record(stats, key=key, prev=prev):
             if stats is None:
-                stats = SegmentStats(
-                    key=key,
-                    nbytes=f.segment_bytes(key),
-                    max_history=auditor.config.max_history,
-                )
+                stats = SegmentStats(key=key, nbytes=f.segment_bytes(key))
                 auditor._file_keys.setdefault(key.file_id, {})[key] = None
             stats.record(event.timestamp, prev)
             return stats
@@ -103,7 +99,7 @@ def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
             dhm.update(prev, link)
         auditor._home_node.setdefault(key, event.node)
         dirty = auditor._dirty
-        if key in dirty or len(dirty) < auditor.config.dirty_vector_capacity:
+        if key in dirty or len(dirty) < DIRTY_VECTOR_CAPACITY:
             dirty[key] = None
         else:
             auditor.dirty_dropped += 1
@@ -280,11 +276,15 @@ def test_on_events_notifies_listeners_once_with_final_count():
 
 
 def test_on_events_respects_dirty_capacity():
-    config = HFetchConfig(dirty_vector_capacity=4)
-    auditor = FileSegmentAuditor(config, make_fs())
+    fs = make_fs()
+    n = DIRTY_VECTOR_CAPACITY + 2
+    fs.create("/big", n * MB)
+    auditor = FileSegmentAuditor(HFetchConfig(), fs)
     auditor.on_events(
-        [FileEvent(EventType.READ, "/a", offset=0, size=10 * MB, timestamp=0.1)]
+        [FileEvent(EventType.READ, "/big", offset=0, size=n * MB, timestamp=0.1)]
     )
-    assert len(auditor._dirty) == 4
-    assert auditor.dirty_dropped == 6
-    assert auditor.drain_dirty() == [SegmentKey("/a", i) for i in range(4)]
+    assert len(auditor._dirty) == DIRTY_VECTOR_CAPACITY
+    assert auditor.dirty_dropped == 2
+    assert auditor.drain_dirty() == [
+        SegmentKey("/big", i) for i in range(DIRTY_VECTOR_CAPACITY)
+    ]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.auditor import FileSegmentAuditor
+from repro.core.auditor import DIRTY_VECTOR_CAPACITY, FileSegmentAuditor
 from repro.core.config import HFetchConfig
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
@@ -79,10 +79,12 @@ def test_dirty_vector_dedups_repeated_access():
 
 
 def test_dirty_vector_bounded_drops_newest():
-    aud, _ = make_auditor(dirty_vector_capacity=2)
-    aud.on_event(read_event(0, 4 * MB))
-    assert aud.pending_updates == 2
+    aud, fs = make_auditor()
+    fs.create("/big", (DIRTY_VECTOR_CAPACITY + 2) * MB)
+    aud.on_event(read_event(0, (DIRTY_VECTOR_CAPACITY + 2) * MB, fid="/big"))
+    assert aud.pending_updates == DIRTY_VECTOR_CAPACITY
     assert aud.dirty_dropped == 2
+    assert SegmentKey("/big", DIRTY_VECTOR_CAPACITY) not in aud.drain_dirty()
 
 
 def test_epoch_refcounting():

@@ -1,5 +1,7 @@
 """Unit tests for HFetch configuration (repro.core.config)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import GB, HFetchConfig
@@ -24,20 +26,41 @@ def test_defaults_match_paper():
     [
         dict(segment_size=0),
         dict(decay_base=1.5),
-        dict(max_history=0),
         dict(engine_interval=0),
         dict(engine_update_threshold=0),
         dict(daemon_threads=0),
         dict(engine_threads=0),
         dict(lookahead_depth=-1),
-        dict(lookahead_discount=0.0),
-        dict(lookahead_discount=1.5),
-        dict(prefetch_max_retries=-1),
     ],
 )
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ValueError):
         HFetchConfig(**kwargs)
+
+
+def test_config_holds_only_the_settings_callers_vary():
+    # settings no caller varies are constants in the module that uses them
+    assert [f.name for f in fields(HFetchConfig)] == [
+        "segment_size",
+        "decay_base",
+        "engine_interval",
+        "engine_update_threshold",
+        "daemon_threads",
+        "engine_threads",
+        "event_queue_capacity",
+        "lookahead_depth",
+        "scoring_model",
+        "dhm_wal",
+        "seed",
+    ]
+
+
+def test_event_queue_capacity_has_one_default():
+    from repro.events.queue import EVENT_QUEUE_CAPACITY, EventQueue
+    from repro.sim.core import Environment
+
+    assert HFetchConfig().event_queue_capacity == EVENT_QUEUE_CAPACITY == 1 << 16
+    assert EventQueue(Environment()).capacity == EVENT_QUEUE_CAPACITY
 
 
 def test_with_reactiveness_presets():

@@ -4,7 +4,12 @@ import pytest
 
 from repro.core.auditor import FileSegmentAuditor
 from repro.core.config import HFetchConfig
-from repro.core.monitor import HardwareMonitor
+from repro.core.monitor import (
+    AUDITOR_LOCK_TIME,
+    CAPACITY_REPORT_INTERVAL,
+    EVENT_SERVICE_TIME,
+    HardwareMonitor,
+)
 from repro.events.queue import EventQueue
 from repro.events.types import CapacityEvent, EventType, FileEvent
 from repro.sim.core import Environment
@@ -14,11 +19,13 @@ from repro.storage.hierarchy import StorageHierarchy
 from repro.storage.tier import StorageTier
 
 MB = 1 << 20
+#: daemon time per file event: service plus the auditor hand-off
+PER_EVENT = EVENT_SERVICE_TIME + AUDITOR_LOCK_TIME
 
 
-def make(daemons=2, hierarchy=False, **cfg):
+def make(daemons=2, hierarchy=False):
     env = Environment()
-    config = HFetchConfig(daemon_threads=daemons, **cfg)
+    config = HFetchConfig(daemon_threads=daemons)
     fs = FileSystemModel(default_segment_size=MB)
     fs.create("/f", 8 * MB)
     auditor = FileSegmentAuditor(config, fs)
@@ -44,18 +51,18 @@ def test_daemons_consume_file_events_into_auditor():
 
 
 def test_event_processing_takes_service_time():
-    env, mon, queue, auditor = make(daemons=1, event_service_time=0.01, auditor_lock_time=0.0)
+    env, mon, queue, auditor = make(daemons=1)
     mon.start()
     for i in range(4):
         queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
-    env.run(until=0.035)
-    assert auditor.events_processed == 3  # 10ms each, serial daemon
+    env.run(until=3.5 * PER_EVENT)
+    assert auditor.events_processed == 3  # one event at a time, serial daemon
     mon.stop()
 
 
 def test_more_daemons_consume_faster():
     def drain_time(daemons):
-        env, mon, queue, _aud = make(daemons=daemons, event_service_time=0.01)
+        env, mon, queue, _aud = make(daemons=daemons)
         mon.start()
         for i in range(20):
             queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
@@ -79,11 +86,10 @@ def test_capacity_events_update_tier_view():
 
 def test_capacity_watcher_reports_periodically():
     env, mon, queue, _aud = make(hierarchy=True)
-    mon.capacity_report_interval = 0.5
     mon.start()
-    env.run(until=1.6)
+    env.run(until=3.5 * CAPACITY_REPORT_INTERVAL)
     mon.stop()
-    assert mon.capacity_events >= 3  # three reports of the single tier
+    assert mon.capacity_events == 3  # three reports of the single tier
     assert "RAM" in mon.tier_free
 
 
@@ -98,7 +104,7 @@ def test_start_stop_idempotent():
 
 
 def test_consumption_rate_exposed():
-    env, mon, queue, _aud = make(daemons=2, event_service_time=0.001)
+    env, mon, queue, _aud = make(daemons=2)
     mon.start()
     for i in range(50):
         queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
@@ -137,24 +143,20 @@ def test_batched_daemon_folds_same_events():
 
 def test_batched_daemon_charges_per_event_service_time():
     """Each event costs one service time plus one auditor hand-off."""
-    env, mon, queue, _aud = make(
-        daemons=1, event_service_time=0.01, auditor_lock_time=0.002,
-    )
+    env, mon, queue, _aud = make(daemons=1)
     mon.start()
     for i in range(12):
         queue.push(FileEvent(EventType.READ, "/f", offset=0, size=MB))
     env.run(until=5.0)
     mon.stop()
-    assert mon.busy_time == pytest.approx(12 * (0.01 + 0.002))
+    assert mon.busy_time == pytest.approx(12 * PER_EVENT)
 
 
 def test_stop_while_queued_for_the_auditor_lock_frees_it():
     """A daemon interrupted while queued for the auditor lock withdraws
     its request, so a restarted pool is not blocked behind a dead one."""
-    service, lock_time = 0.01, 0.002
-    env, mon, queue, auditor = make(
-        daemons=4, event_service_time=service, auditor_lock_time=lock_time
-    )
+    service, lock_time = EVENT_SERVICE_TIME, AUDITOR_LOCK_TIME
+    env, mon, queue, auditor = make(daemons=4)
     mon.start()
     for i in range(8):
         queue.push(FileEvent(EventType.READ, "/f", offset=i * MB, size=MB, timestamp=0.0))

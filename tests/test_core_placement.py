@@ -1,7 +1,10 @@
 """Unit tests for Algorithm 1 and its triggers (repro.core.placement)."""
 
+from unittest import mock
+
 import pytest
 
+from repro.core import placement
 from repro.core.auditor import FileSegmentAuditor
 from repro.core.config import HFetchConfig
 from repro.core.io_clients import IOClientPool
@@ -204,14 +207,16 @@ def test_invalidate_file_clears_engine_state():
 
 
 def test_demotion_hysteresis_prevents_equal_score_churn():
-    env, engine, auditor, hier, io = build(
-        ram_cap=1 * MB, lookahead_depth=0, demotion_hysteresis=1.25
-    )
+    env, engine, auditor, hier, io = build(ram_cap=1 * MB, lookahead_depth=0)
     touch(auditor, 0, t=0.0, times=3)
     run_pass(env, engine)
     # a segment with (nearly) the same score must NOT displace it
     touch(auditor, 1, t=0.003, times=3)
     run_pass(env, engine)
+    resident, newcomer = (
+        auditor.score_of(SegmentKey("/f", i), env.now) for i in (0, 1)
+    )
+    assert resident < newcomer < resident * placement.DEMOTION_HYSTERESIS
     assert hier.locate(SegmentKey("/f", 0)).name == "RAM"
     assert hier.locate(SegmentKey("/f", 1)).name == "NVMe"
 
@@ -306,7 +311,9 @@ WALK_KEYS = (
 )
 
 
-def reference_candidates(auditor, config, dirty, scores):
+def reference_candidates(
+    auditor, config, dirty, scores, discount=placement.LOOKAHEAD_DISCOUNT
+):
     """The unpruned walk: every dirty segment walks its full chain."""
     candidates = {}
     for key, score in zip(dirty, scores):
@@ -316,7 +323,7 @@ def reference_candidates(auditor, config, dirty, scores):
             candidates[key] = score
         current, value = key, score
         for _hop in range(config.lookahead_depth):
-            value *= config.lookahead_discount
+            value *= discount
             stats = auditor.stats_map.get(current)
             nxt = stats.most_likely_successor() if stats is not None else None
             if nxt is None:
@@ -346,12 +353,10 @@ def reference_candidates(auditor, config, dirty, scores):
         max_size=12,
     ),
     depth=st.sampled_from([0, 1, 4, 16]),
-    discount=st.sampled_from([0.5, 0.85, 1.0]),
+    discount=st.sampled_from([0.5, placement.LOOKAHEAD_DISCOUNT, 1.0]),
 )
 def test_pruned_walk_matches_the_full_walk(graph, dirty, depth, discount):
-    env, engine, auditor, hier, io = build(
-        lookahead_depth=depth, lookahead_discount=discount
-    )
+    env, engine, auditor, hier, io = build(lookahead_depth=depth)
     auditor.fs.create("/g", 3 * MB)
     for key, successor in graph.items():
         stats = SegmentStats(key=key, nbytes=MB)
@@ -359,8 +364,10 @@ def test_pruned_walk_matches_the_full_walk(graph, dirty, depth, discount):
         auditor.stats_map.put(key, stats)
     keys = [k for k, _ in dirty]
     scores = [s for _, s in dirty]
-    got = engine._candidates(keys, scores)
-    want = reference_candidates(auditor, engine.config, keys, scores)
+    # the walk must stay exact for any discount, the constant's included
+    with mock.patch.object(placement, "LOOKAHEAD_DISCOUNT", discount):
+        got = engine._candidates(keys, scores)
+    want = reference_candidates(auditor, engine.config, keys, scores, discount)
     assert list(got.items()) == list(want.items())
 
 

@@ -177,12 +177,28 @@ def test_tier_index_and_by_name():
 
 
 def test_invalidate_file_evicts_only_that_file():
+    from repro.core.auditor import FileSegmentAuditor
+    from repro.core.config import HFetchConfig
+    from repro.core.io_clients import IOClientPool
+    from repro.core.placement import PlacementEngine
+    from repro.storage.files import FileSystemModel
+
     env, h = build()
-    h.place(SegmentKey("a", 0), MB, h.tiers[0])
-    h.place(SegmentKey("a", 1), MB, h.tiers[1])
-    h.place(SegmentKey("b", 0), MB, h.tiers[0])
-    assert h.invalidate_file("a") == 2
+    fs = FileSystemModel(default_segment_size=MB)
+    for fid in ("a", "b"):
+        fs.create(fid, 2 * MB)
+    config = HFetchConfig()
+    io = IOClientPool(env, h)
+    engine = PlacementEngine(env, config, h, FileSegmentAuditor(config, fs), io)
+    engine._place(SegmentKey("a", 0), MB, 2.0, h.tiers[0])
+    engine._place(SegmentKey("a", 1), MB, 1.0, h.tiers[1])
+    engine._place(SegmentKey("b", 0), MB, 2.0, h.tiers[0])
+    assert engine.invalidate_file("a") == 2
+    assert h.locate(SegmentKey("a", 0)) is None
+    assert h.locate(SegmentKey("a", 1)) is None
     assert h.locate(SegmentKey("b", 0)) is h.tiers[0]
+    # the engine forgets the file's scores and in-flight moves too
+    assert set(engine._scores) == set(io.in_flight) == {SegmentKey("b", 0)}
     h.check_invariants()
 
 
@@ -213,8 +229,8 @@ def test_evictions_record_the_cause_their_caller_passes():
     h.place(SegmentKey("b", 0), MB, h.tiers[1])
     h.evict(SegmentKey("a", 0), cause="rejected")
     h.evict(SegmentKey("a", 1))
-    h.invalidate_file("a")
-    h.evict_all([SegmentKey("b", 0)], cause="move-failed")
+    h.evict(SegmentKey("a", 2), cause="invalidated")
+    h.evict(SegmentKey("b", 0), cause="move-failed")
     causes = [(prov.keys[e[2]], e[3], e[4]) for e in prov.events if e[0] == EV_EVICT]
     assert causes == [
         (SegmentKey("a", 0), "RAM", "rejected"),

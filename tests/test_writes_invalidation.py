@@ -21,6 +21,34 @@ from repro.workloads.spec import (
 MB = 1 << 20
 
 
+class CheckedInvalidation(HFetchPrefetcher):
+    """HFetch that records, around each write invalidation, how many
+    segments of the written file are resident, in flight and scored."""
+
+    def attach(self, ctx) -> None:
+        super().attach(ctx)
+        server = self.server
+        invalidate = server.auditor.invalidate_hook
+        self.checks = []
+
+        def state(file_id):
+            def count(keys):
+                return sum(1 for k in keys if k.file_id == file_id)
+
+            return (
+                count(server.hierarchy.resident_segments()),
+                count(server.io_clients.in_flight),
+                count(server.engine._scores),
+            )
+
+        def checked(file_id):
+            before = state(file_id)
+            invalidate(file_id)
+            self.checks.append((before, state(file_id)))
+
+        server.auditor.invalidate_hook = checked
+
+
 def cluster(ranks=8):
     return SimulatedCluster(
         ClusterSpec(
@@ -72,9 +100,16 @@ def test_in_epoch_write_invalidates_prefetched_data():
         ],
     )
     cl = cluster(2)
-    pf = HFetchPrefetcher(HFetchConfig(engine_interval=0.02, engine_update_threshold=2))
+    pf = CheckedInvalidation(
+        HFetchConfig(engine_interval=0.02, engine_update_threshold=2)
+    )
     WorkflowRunner(cl, wl, pf).run()
     assert pf.server.auditor.invalidations >= 1
+    # the write found prefetched segments of the file, and none of them
+    # survived it: not resident, not in flight, not scored by the engine
+    assert pf.checks
+    assert any(resident for (resident, _, _), _after in pf.checks)
+    assert all(after == (0, 0, 0) for _before, after in pf.checks)
 
 
 def test_unwatched_write_invalidates_at_next_open():
@@ -164,7 +199,7 @@ def test_invalidation_cost_independent_of_other_files():
     fs = FileSystemModel(default_segment_size=MB)
     fs.create("/huge", 1000 * MB)
     fs.create("/tiny", 3 * MB)
-    auditor = FileSegmentAuditor(HFetchConfig(dirty_vector_capacity=2000), fs)
+    auditor = FileSegmentAuditor(HFetchConfig(), fs)
     auditor.on_events(
         [FileEvent(EventType.READ, "/huge", offset=0, size=1000 * MB, timestamp=0.1),
          FileEvent(EventType.READ, "/tiny", offset=0, size=3 * MB, timestamp=0.2)]
