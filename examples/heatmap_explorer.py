@@ -14,7 +14,6 @@ from repro import Environment, HFetchConfig, HFetchServer
 from repro.storage.devices import BURST_BUFFER, DRAM, NVME, PFS_DISK
 from repro.storage.files import FileSystemModel
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 MB = 1 << 20
@@ -66,7 +65,7 @@ def main() -> None:
 
     print("placements in the hierarchy:")
     for idx in (8, 9, 10, 11, 12, 40, 41, 50):
-        where = hierarchy.resident_tier_name(SegmentKey(f.file_id, idx))
+        where = hierarchy.resident_tier_name(f.segment_id(idx))
         print(f"  segment {idx:>2}: {where}")
 
     agent.close(f.file_id)
@@ -78,7 +77,7 @@ def main() -> None:
     env.run(until=env.now + 1.0)
     warm = sum(
         1 for idx in (8, 9, 10)
-        if hierarchy.locate(SegmentKey(f.file_id, idx)) is not None
+        if hierarchy.locate(f.segment_id(idx)) is not None
     )
     print(f"  {warm}/3 of last epoch's hot segments already cached")
     agent.close(f.file_id)

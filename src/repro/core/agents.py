@@ -23,7 +23,6 @@ from repro.dhm.hashmap import DistributedHashMap
 from repro.events.inotify import SimInotify
 from repro.events.types import EventType
 from repro.sim.core import Environment
-from repro.storage.segments import SegmentKey
 
 __all__ = ["OpenMode", "Agent", "AgentManager"]
 
@@ -56,9 +55,9 @@ class AgentManager:
         # hierarchy's ledger and the I/O clients' in-flight map (see
         # ``locate``).  Only its cost model and shard state matter.
         self.mapping_map = mapping_map if mapping_map is not None else DistributedHashMap(shards=1)
+        self.mapping_map.shard_key = auditor.fs.segment_key
         self._agents: dict[int, "Agent"] = {}
         # instrumentation
-        self.epochs_ended = 0
         self.location_queries = 0
 
     # -- agent registry -----------------------------------------------------
@@ -87,10 +86,9 @@ class AgentManager:
         last = self.auditor.end_epoch(file_id, now=self.env.now)
         if last:
             self.inotify.rm_watch(file_id)
-        self.epochs_ended += 1
 
     # -- location queries -----------------------------------------------------------
-    def locate(self, key: SegmentKey, node: int = 0) -> tuple[Optional[str], float]:
+    def locate(self, key: int, node: int = 0) -> tuple[Optional[str], float]:
         """Where is ``key`` served from right now?
 
         Returns ``(tier_name_or_None, query_cost_seconds)``.  The cost is
@@ -164,7 +162,7 @@ class Agent:
             )
             self.manager.end_epoch(file_id)
 
-    def locate(self, key: SegmentKey) -> tuple[Optional[str], float]:
+    def locate(self, key: int) -> tuple[Optional[str], float]:
         """Ask the manager where a segment is served from."""
         return self.manager.locate(key, node=self.node)
 

@@ -27,14 +27,11 @@ from repro.core.stats import SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
-from repro.storage.segments import SegmentKey
 
 __all__ = ["FileSegmentAuditor"]
 
 _READ = EventType.READ
 _WRITE = EventType.WRITE
-# ``SegmentKey(fid, i)`` without the generated ``__new__``'s extra frame
-_tuple_new = tuple.__new__
 
 #: Capacity of the dirty-score vector ("all updated scores are pushed by
 #: the auditor into a vector which the engine processes", §III-D).  Like
@@ -59,6 +56,7 @@ class FileSegmentAuditor:
         self.config = config
         self.fs = fs
         self.stats_map = stats_map if stats_map is not None else DistributedHashMap(shards=1)
+        self.stats_map.shard_key = fs.segment_key
         self.heatmaps = heatmaps if heatmaps is not None else HeatmapStore()
         #: swappable scoring strategy (Eq. 1 by default)
         self.scoring_model: ScoringModel = get_scoring_model(config.scoring_model)
@@ -70,19 +68,19 @@ class FileSegmentAuditor:
         # must follow each process's own stream — interleaving thousands
         # of ranks into one chain would corrupt the logical map of
         # connected segments the engine walks for lookahead.
-        self._last_segment: dict[tuple[str, int], SegmentKey] = {}
+        self._last_segment: dict[tuple[str, int], int] = {}
         # Per-file indexes (ordered de-dup dicts) so write invalidation
         # and epoch teardown touch only the written file's records
         # instead of scanning every key in the map / every stream.
-        self._file_keys: dict[str, dict[SegmentKey, None]] = {}
+        self._file_keys: dict[str, dict[int, None]] = {}
         self._file_streams: dict[str, dict[tuple[str, int], None]] = {}
         # dirty vector (ordered de-dup) for the placement engine
-        self._dirty: dict[SegmentKey, None] = {}
+        self._dirty: dict[int, None] = {}
         # segment home node: node of the first accessor
-        self._home_node: dict[SegmentKey, int] = {}
+        self._home_node: dict[int, int] = {}
         # last content version seen per file (the stat-on-open check)
         self._seen_version: dict[str, int] = {}
-        # fold geometry per file: (file, segment_size, last_index,
+        # fold geometry per file: (file, segment_size, last id,
         # last_nbytes), valid while the file system still holds that very
         # record (a removed or re-created file fails the identity check)
         self._geometry: dict[str, tuple] = {}
@@ -177,7 +175,7 @@ class FileSegmentAuditor:
             if scores[index] <= 0:
                 break
             if index < num_segments:
-                self._dirty[SegmentKey(file_id, index)] = None
+                self._dirty[f.base + index] = None
 
     # -- event consumption (called by the hardware monitor's daemons) ---------------
     def on_event(self, event: FileEvent) -> None:
@@ -242,18 +240,16 @@ class FileSegmentAuditor:
                     continue
                 info = geometry.get(fid)
                 if info is None or info[0] is not f:
-                    last_index = f.num_segments - 1
+                    last_id = f.base + f.num_segments - 1
                     info = geometry[fid] = (
                         f,
                         f.segment_size,
-                        last_index,
-                        f.segment_bytes(SegmentKey(fid, last_index))
-                        if last_index >= 0
-                        else 0,
+                        last_id,
+                        f.segment_bytes(last_id) if last_id >= f.base else 0,
                     )
-                _, seg_size, last_index, last_nbytes = info
-                first, last = f.segment_span(event.offset, event.size)
-                if last < first:
+                _, seg_size, last_id, last_nbytes = info
+                keys = f.read_segments(event.offset, event.size)
+                if not keys:
                     continue
                 stream = (fid, event.pid)
                 prev = last_segment.get(stream)
@@ -266,8 +262,7 @@ class FileSegmentAuditor:
                 when = event.timestamp
                 node = event.node
                 node_shard = node % nshards
-                for index in range(first, last + 1):
-                    key = _tuple_new(SegmentKey, (fid, index))
+                for key in keys:
                     if flows is not None:
                         flows[key] = event.eid
                     sid = 0 if nshards == 1 else shard_of(key)
@@ -276,7 +271,7 @@ class FileSegmentAuditor:
                     if stats is None:
                         stats = SegmentStats(
                             key=key,
-                            nbytes=seg_size if index < last_index else last_nbytes,
+                            nbytes=seg_size if key < last_id else last_nbytes,
                         )
                         shard[key] = stats
                         fkeys = self._file_keys.get(fid)
@@ -321,7 +316,7 @@ class FileSegmentAuditor:
                     prev = key
                 last_segment[stream] = prev
                 if fold_mark is not None:
-                    fold_mark((self._tel_env.now, event.eid, last - first + 1))
+                    fold_mark((self._tel_env.now, event.eid, len(keys)))
             elif etype is _WRITE:
                 self._on_write(event)
             # OPEN/CLOSE: epochs are driven by the agent manager (below).
@@ -354,14 +349,15 @@ class FileSegmentAuditor:
             self.stats_map.delete(key)
         for stream in self._file_streams.pop(file_id, ()):
             self._last_segment.pop(stream, None)
-        stale = [k for k in self._dirty if k.file_id == file_id]
+        ids = self.fs.ids_of(file_id)
+        stale = [k for k in self._dirty if k in ids]
         for k in stale:
             del self._dirty[k]
         if self.invalidate_hook is not None:
             self.invalidate_hook(file_id)
 
     # -- queries --------------------------------------------------------------------
-    def stats_of(self, key: SegmentKey) -> Optional[SegmentStats]:
+    def stats_of(self, key: int) -> Optional[SegmentStats]:
         """Raw statistics record of a segment, if any.
 
         An uncharged :meth:`~repro.dhm.hashmap.DistributedHashMap.peek`:
@@ -369,18 +365,18 @@ class FileSegmentAuditor:
         """
         return self.stats_map.peek(key)
 
-    def home_node(self, key: SegmentKey) -> int:
+    def home_node(self, key: int) -> int:
         """Node of the segment's first accessor (locality hint)."""
         return self._home_node.get(key, 0)
 
-    def score_of(self, key: SegmentKey, now: float) -> float:
+    def score_of(self, key: int, now: float) -> float:
         """Current score of one segment under the configured model."""
         stats = self.stats_map.get(key)
         if stats is None:
             return 0.0
         return self.scoring_model.score(stats, now, self.config.decay_base)
 
-    def drain_dirty(self) -> list[SegmentKey]:
+    def drain_dirty(self) -> list[int]:
         """Hand the accumulated dirty vector to the engine (clears it)."""
         dirty = list(self._dirty)
         self._dirty.clear()
@@ -391,7 +387,7 @@ class FileSegmentAuditor:
         """Dirty segments awaiting an engine pass."""
         return len(self._dirty)
 
-    def batch_score(self, keys: Iterable[SegmentKey], now: float) -> np.ndarray:
+    def batch_score(self, keys: Iterable[int], now: float) -> np.ndarray:
         """Vectorised scores for ``keys`` under the configured model.
 
         Stats are fetched through the DHM's bulk shard-local path — one
@@ -404,9 +400,7 @@ class FileSegmentAuditor:
 
     def build_heatmap(self, file_id: str, now: float) -> FileHeatmap:
         """Materialise the file's current heatmap (§III-C)."""
-        f = self.fs.get(file_id)
-        keys = [SegmentKey(file_id, i) for i in range(f.num_segments)]
-        scores = self.batch_score(keys, now)
+        scores = self.batch_score(self.fs.get(file_id).segments(), now)
         return FileHeatmap(file_id=file_id, scores=scores, captured_at=now)
 
     def __repr__(self) -> str:  # pragma: no cover

@@ -121,7 +121,6 @@ class HeatmapStore:
         if self.directory is not None:
             self.directory.mkdir(parents=True, exist_ok=True)
         self._maps: dict[str, FileHeatmap] = {}
-        self.loads = 0
 
     def _path_for(self, file_id: str) -> Optional[Path]:
         if self.directory is None:
@@ -147,8 +146,6 @@ class HeatmapStore:
             if path is not None and path.exists():
                 hm = FileHeatmap.from_json(path.read_text())
                 self._maps[file_id] = hm
-        if hm is not None:
-            self.loads += 1
         return hm
 
     def delete(self, file_id: str) -> None:

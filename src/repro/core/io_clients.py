@@ -21,7 +21,6 @@ from repro.network.comm import NodeCommunicator
 from repro.sim.core import Environment, Interrupt, Process
 from repro.sim.resources import Store
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 __all__ = ["MoveInstruction", "IOClientPool"]
@@ -34,7 +33,7 @@ PREFETCH_MAX_RETRIES = 2
 
 @dataclass(frozen=True)
 class MoveInstruction:
-    """One planned segment movement.
+    """One planned movement of segment ``key`` (its id).
 
     ``src_name`` is where the bytes are read from (a tier name, possibly
     the file's origin tier); ``dst_name`` is the tier the segment was
@@ -44,7 +43,7 @@ class MoveInstruction:
     retries preserve it, so a move lineage is attributable end to end.
     """
 
-    key: SegmentKey
+    key: int
     nbytes: int
     src_name: str
     dst_name: str
@@ -84,7 +83,7 @@ class IOClientPool:
         self._running = False
         #: segments whose physical movement has not completed yet,
         #: mapped to the tier name that still serves them.
-        self.in_flight: dict[SegmentKey, str] = {}
+        self.in_flight: dict[int, str] = {}
         #: fault-injection hook: ``hook(instruction) -> True`` fails the
         #: move at the device (installed by the chaos injector; None in
         #: normal runs)
@@ -153,7 +152,7 @@ class IOClientPool:
         self.in_flight[instruction.key] = instruction.src_name
         self._queues[instruction.dst_name].offer(instruction)
 
-    def serving_tier_name(self, key: SegmentKey) -> Optional[str]:
+    def serving_tier_name(self, key: int) -> Optional[str]:
         """Tier that can serve ``key`` right now, accounting for moves.
 
         Returns the in-flight source while a move is pending, the ledger
@@ -283,7 +282,7 @@ class IOClientPool:
         if self.failure_listener is not None:
             self.failure_listener("prefetch_error")
 
-    def drop_in_flight(self, key: SegmentKey) -> None:
+    def drop_in_flight(self, key: int) -> None:
         """Forget an in-flight marker (invalidation path)."""
         self.in_flight.pop(key, None)
 

@@ -22,7 +22,7 @@ realisation keeps to the text:
   space — the paper's worked example updates RAM's min from 2.0 to 2.2
   after the 2.0-scored segment is displaced, i.e. min tracks
   residents).  It is the engine's per-tier lazy min-heap of
-  ``(score, seq, key)`` entries, not an attribute of the tier: a
+  ``(score, seq, segment id)`` entries, not an attribute of the tier: a
   refresh pushes a new entry, and an entry whose segment has left the
   tier or been re-scored is stale.  :meth:`_peek_min` is the one
   staleness check; it pops stale entries off the top, and runs after
@@ -43,7 +43,6 @@ realisation keeps to the text:
 from __future__ import annotations
 
 import heapq
-import math
 from typing import Generator, Optional
 
 from repro.core.auditor import FileSegmentAuditor
@@ -52,7 +51,6 @@ from repro.core.io_clients import IOClientPool, MoveInstruction
 from repro.sim.core import Environment, Event, Interrupt, Process
 from repro.sim.rng import SeededStream
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 __all__ = ["PlacementEngine"]
@@ -88,9 +86,10 @@ class PlacementEngine:
         self.auditor = auditor
         self.io_clients = io_clients
         self._rng = SeededStream(config.seed, "placement-engine")
-        # engine-side score map and per-tier lazy min-heaps
-        self._scores: dict[SegmentKey, float] = {}
-        self._heaps: dict[str, list[tuple[float, int, SegmentKey]]] = {
+        # engine-side score map and per-tier lazy min-heaps, by segment
+        # id; ``seq`` is unique, so an entry's id is never compared
+        self._scores: dict[int, float] = {}
+        self._heaps: dict[str, list[tuple[float, int, int]]] = {
             t.name: [] for t in hierarchy.tiers
         }
         self._seq = 0
@@ -180,7 +179,8 @@ class PlacementEngine:
         self._updates_since_pass = 0
         dirty = self.auditor.drain_dirty()
         # only files inside an open prefetching epoch are targeted (§III-B)
-        dirty = [k for k in dirty if self.auditor.in_epoch(k.file_id)]
+        in_epoch, file_id_of = self.auditor.in_epoch, self.auditor.fs.file_id_of
+        dirty = [k for k in dirty if in_epoch(file_id_of(k))]
         if not dirty:
             return
         self.passes += 1
@@ -226,26 +226,24 @@ class PlacementEngine:
                 demoted=self.segments_demoted - demoted_before,
             )
 
-    def _candidates(
-        self, dirty: list[SegmentKey], scores: list[float]
-    ) -> dict[SegmentKey, float]:
+    def _candidates(self, dirty: list[int], scores: list[float]) -> dict[int, float]:
         """Dirty segments plus their sequencing lookahead, best score each.
 
         Segments "connected" to the hot ones (the most likely successor,
-        falling back to the spatial next segment) are candidates at a
-        score discounted per hop.  Successors cannot change within the
-        synchronous walk, so a walk that reaches a segment an earlier walk
-        already expanded with at least its value and hops left would only
-        repeat no-op writes: it stops there, and the result (values and
-        insertion order) is that of the full walks.
+        falling back to the spatial next segment, id + 1 within the file)
+        are candidates at a score discounted per hop.  Successors cannot
+        change within the synchronous walk, so a walk that reaches a
+        segment an earlier walk already expanded with at least its value
+        and hops left would only repeat no-op writes: it stops there, and
+        the result (values and insertion order) is that of the full walks.
         """
         depth = self.config.lookahead_depth
         discount = LOOKAHEAD_DISCOUNT
         stats_of = self.auditor.stats_of
-        files = self.auditor.fs
-        candidates: dict[SegmentKey, float] = {}
+        file_of = self.auditor.fs.file_of
+        candidates: dict[int, float] = {}
         # segment -> (value, hops left) it was last expanded with
-        walked: dict[SegmentKey, tuple[float, int]] = {}
+        walked: dict[int, tuple[float, int]] = {}
         for key, score in zip(dirty, scores):
             if score <= 0.0:
                 continue
@@ -262,10 +260,10 @@ class PlacementEngine:
                 nxt = stats.best_successor if stats is not None else None
                 if nxt is None:
                     # spatial fallback: the next segment of the same file
-                    fid = current.file_id
-                    if not files.exists(fid) or current.index + 1 >= files.get(fid).num_segments:
+                    f = file_of(current)
+                    nxt = current + 1
+                    if f is None or nxt - f.base >= f.num_segments:
                         break
-                    nxt = SegmentKey(fid, current.index + 1)
                 if value > candidates.get(nxt, 0.0):
                     candidates[nxt] = value
                 current = nxt
@@ -273,77 +271,71 @@ class PlacementEngine:
         return candidates
 
     # -- Algorithm 1 ----------------------------------------------------------------
-    def _segment_bytes(self, key: SegmentKey) -> Optional[int]:
+    def _segment_bytes(self, key: int) -> Optional[int]:
         stats = self.auditor.stats_of(key)
         if stats is not None:
             return stats.nbytes
-        if self.auditor.fs.exists(key.file_id):
-            f = self.auditor.fs.get(key.file_id)
-            if key.index < f.num_segments:
-                return f.segment_bytes(key)
-        return None
+        f = self.auditor.fs.file_of(key)
+        return f.segment_bytes(key) if f is not None else None
 
-    def _admission_threshold(self, tier: StorageTier, nbytes: int) -> float:
-        """Admission threshold: −inf while the segment would simply fit."""
-        if tier.can_fit(nbytes):
-            return -math.inf
-        top = self._peek_min(tier)
-        return top[0] if top is not None else -math.inf
-
-    def _peek_min(self, tier: StorageTier) -> Optional[tuple[float, int, SegmentKey]]:
+    def _peek_min(self, tier: StorageTier) -> Optional[tuple[float, int, int]]:
         """The tier's live minimum entry, popping stale ones above it."""
         heap = self._heaps[tier.name]
+        locate, scores = self.hierarchy.locate, self._scores
         while heap:
             top = heap[0]
             key = top[2]
-            if self.hierarchy.locate(key) is not tier or self._scores.get(key) != top[0]:
+            if locate(key) is not tier or scores.get(key) != top[0]:
                 heapq.heappop(heap)  # stale
                 continue
             return top
         return None
 
-    def _push(self, tier: StorageTier, key: SegmentKey, score: float) -> None:
+    def _push(self, tier: StorageTier, key: int, score: float) -> None:
         self._seq += 1
         self._scores[key] = score
         heapq.heappush(self._heaps[tier.name], (score, self._seq, key))
         self._peek_min(tier)  # keep the top live (see the module notes)
 
     def _calculate_placement(
-        self, key: SegmentKey, nbytes: int, score: float, tier_idx: int
+        self, key: int, nbytes: int, score: float, tier_idx: int
     ) -> None:
-        tiers = self.hierarchy.tiers
-        if tier_idx >= len(tiers):
-            # past the last tier: the segment lives only at its origin
-            self._evict(key)
-            self.segments_rejected += 1
-            return
-        tier = tiers[tier_idx]
-        if not tier.available:
-            self._calculate_placement(key, nbytes, score, tier_idx + 1)
-            return
-        current = self.hierarchy.locate(key)
-        if current is tier:
-            self._push(tier, key, score)  # refresh score in place
-            return
-        if current is not None and tier_idx < self.hierarchy.tier_index(current):
-            # candidate promotion: only move a resident segment *up* when
-            # its score has genuinely risen since it was placed ("if an
-            # updated segment score violates its current tier placement",
-            # §III-D) — otherwise refresh in place.  Without this, every
-            # freshly-read single-pass segment would cascade through the
-            # tiers and the movement churn would drown the devices.
-            last = self._scores.get(key, 0.0)
-            if score <= last * DEMOTION_HYSTERESIS:
-                self._push(current, key, score)
+        hierarchy = self.hierarchy
+        tiers = hierarchy.tiers
+        # each turn that neither places nor refreshes sinks one tier
+        for tier_idx in range(tier_idx, len(tiers)):
+            tier = tiers[tier_idx]
+            if not tier.available:
+                continue
+            current = hierarchy.locate(key)
+            if current is tier:
+                self._push(tier, key, score)  # refresh score in place
                 return
-        if score > self._admission_threshold(tier, nbytes):
-            if not tier.can_fit(nbytes):
-                self._demote_segments(score, nbytes, tier, tier_idx)
+            if current is not None and tier_idx < hierarchy.tier_index(current):
+                # candidate promotion: only move a resident segment *up* when
+                # its score has genuinely risen since it was placed ("if an
+                # updated segment score violates its current tier placement",
+                # §III-D) — otherwise refresh in place.  Without this, every
+                # freshly-read single-pass segment would cascade through the
+                # tiers and the movement churn would drown the devices.
+                last = self._scores.get(key, 0.0)
+                if score <= last * DEMOTION_HYSTERESIS:
+                    self._push(current, key, score)
+                    return
             if tier.can_fit(nbytes):
                 self._place(key, nbytes, score, tier)
                 return
-            # demotion could not make room (all residents hotter) — sink
-        self._calculate_placement(key, nbytes, score, tier_idx + 1)
+            # admission: the segment must beat the tier's live minimum
+            top = self._peek_min(tier)
+            if top is None or score > top[0]:
+                self._demote_segments(score, nbytes, tier, tier_idx)
+                if tier.can_fit(nbytes):
+                    self._place(key, nbytes, score, tier)
+                    return
+                # demotion could not make room (all residents hotter) — sink
+        # past the last tier: the segment lives only at its origin
+        self._evict(key)
+        self.segments_rejected += 1
 
     def _demote_segments(
         self, score: float, needed: int, tier: StorageTier, tier_idx: int
@@ -374,7 +366,7 @@ class PlacementEngine:
             self._plan_rank = outer_rank
         self._peek_min(tier)  # keep the top live (see the module notes)
 
-    def _place(self, key: SegmentKey, nbytes: int, score: float, tier: StorageTier) -> None:
+    def _place(self, key: int, nbytes: int, score: float, tier: StorageTier) -> None:
         src_name = self.io_clients.serving_tier_name(key)
         if src_name is None:
             src_name = self._origin_of(key)
@@ -409,12 +401,11 @@ class PlacementEngine:
             )
         self.segments_placed += 1
 
-    def _origin_of(self, key: SegmentKey) -> str:
-        if self.auditor.fs.exists(key.file_id):
-            return self.auditor.fs.get(key.file_id).origin
-        return self.hierarchy.backing.name
+    def _origin_of(self, key: int) -> str:
+        f = self.auditor.fs.lookup(self.auditor.fs.file_id_of(key))
+        return f.origin if f is not None else self.hierarchy.backing.name
 
-    def _evict(self, key: SegmentKey, cause: str = "rejected") -> None:
+    def _evict(self, key: int, cause: str = "rejected") -> None:
         self._scores.pop(key, None)
         self.hierarchy.evict(key, cause=cause)
         self.io_clients.drop_in_flight(key)
@@ -465,7 +456,8 @@ class PlacementEngine:
     # -- invalidation (write events, §III-B) --------------------------------------
     def invalidate_file(self, file_id: str) -> int:
         """Evict every cached segment of a rewritten file."""
-        victims = [k for k in self._scores if k.file_id == file_id]
+        ids = self.auditor.fs.ids_of(file_id)
+        victims = [k for k in self._scores if k in ids]
         for key in victims:
             self._evict(key, cause="invalidated")
         return len(victims)

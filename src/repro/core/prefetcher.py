@@ -16,7 +16,6 @@ from repro.events.types import EventType
 from repro.core.server import HFetchServer
 from repro.prefetchers.base import Prefetcher
 from repro.runtime.context import ReadPlan, RuntimeContext
-from repro.storage.segments import SegmentKey
 
 __all__ = ["HFetchPrefetcher"]
 
@@ -55,13 +54,14 @@ class HFetchPrefetcher(Prefetcher):
         assert self.server is not None
         self.server.connect(pid, node).open(file_id)
 
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
+    def plan_read(self, pid: int, node: int, key: int) -> ReadPlan:
         assert self.server is not None and self.ctx is not None
         agent = self.server.connect(pid, node)
         tier_name, query_cost = agent.locate(key)
         if tier_name is None:
             return ReadPlan(
-                tier=self.ctx.origin_tier(key.file_id), metadata_cost=query_cost
+                tier=self.ctx.origin_tier(self.ctx.fs.file_id_of(key)),
+                metadata_cost=query_cost,
             )
         tier = self.ctx.hierarchy.by_name(tier_name)
         # node-local tiers of another node are reachable over the fabric

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.core.scoring import segment_score
-from repro.storage.segments import SegmentKey
 
 __all__ = ["SegmentStats"]
 
@@ -25,7 +24,8 @@ class SegmentStats:
     Attributes
     ----------
     key:
-        The segment this record describes.
+        Id of the segment this record describes (see
+        :class:`~repro.storage.files.FileSystemModel`).
     nbytes:
         Byte size of the segment (the last segment of a file is short).
     refs:
@@ -38,7 +38,7 @@ class SegmentStats:
     last_access:
         Timestamp of the most recent access (recency).
     prev:
-        Key of the segment whose access preceded this one within the
+        Id of the segment whose access preceded this one within the
         same file — the sequencing link that gives HFetch "a logical map
         of which segments are connected to one another".
     successors:
@@ -50,15 +50,15 @@ class SegmentStats:
         :meth:`link_successor` so the engine's lookahead reads it in O(1).
     """
 
-    key: SegmentKey
+    key: int
     nbytes: int
     max_history: int = 16
     refs: int = 0
     times: deque = field(default_factory=deque)
     last_access: float = float("-inf")
-    prev: Optional[SegmentKey] = None
+    prev: Optional[int] = None
     successors: dict = field(default_factory=dict)
-    best_successor: Optional[SegmentKey] = None
+    best_successor: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.max_history < 1:
@@ -66,7 +66,7 @@ class SegmentStats:
         if self.nbytes < 0:
             raise ValueError("segment size must be non-negative")
 
-    def record(self, now: float, prev: Optional[SegmentKey] = None) -> None:
+    def record(self, now: float, prev: Optional[int] = None) -> None:
         """Register one access at time ``now`` (monotonic per segment)."""
         if now < self.last_access:
             # Events can arrive slightly out of order through the queue;
@@ -80,7 +80,7 @@ class SegmentStats:
         if prev is not None and prev != self.key:
             self.prev = prev
 
-    def link_successor(self, nxt: SegmentKey) -> None:
+    def link_successor(self, nxt: int) -> None:
         """Record that ``nxt`` was accessed right after this segment."""
         if nxt == self.key:
             return
@@ -93,10 +93,10 @@ class SegmentStats:
         if best is None or count > successors[best]:
             self.best_successor = nxt
         elif count == successors[best]:
-            # a tie goes to the first-inserted key, as ``max`` breaks it
+            # a tie goes to the first-inserted id, as ``max`` breaks it
             self.best_successor = max(successors.items(), key=lambda kv: kv[1])[0]
 
-    def most_likely_successor(self) -> Optional[SegmentKey]:
+    def most_likely_successor(self) -> Optional[int]:
         """The most frequently observed follow-on segment, if any."""
         return self.best_successor
 

@@ -94,6 +94,20 @@ class _ShardOverlay(dict):
         dict.__setitem__(self, key, _TOMBSTONE)
 
 
+class _ShardMemo(dict):
+    """Key -> shard id, filled from the ring the first time a key is seen."""
+
+    def __init__(self, dhm: "DistributedHashMap"):
+        super().__init__()
+        self._dhm = dhm
+
+    def __missing__(self, key: Hashable) -> int:
+        dhm = self._dhm
+        hashed = key if dhm.shard_key is None else dhm.shard_key(key)
+        self[key] = sid = dhm.partitioner.shard_of(hashed)
+        return sid
+
+
 @dataclass(frozen=True)
 class OpCost:
     """Latency model of one map operation class (seconds)."""
@@ -140,7 +154,14 @@ class DistributedHashMap:
         # per-op cost on hot paths.  The ring never changes after
         # construction, so the mapping is safe to cache forever (memory
         # is bounded by the distinct keys ever touched).
-        self._shard_ids: dict[Hashable, int] = {}
+        self._shard_ids = _ShardMemo(self)
+        #: what the ring hashes for a key (the key itself when None).  The
+        #: HFetch maps are keyed by segment id and set this to
+        #: ``FileSystemModel.segment_key``, so an id lives on the shard of
+        #: its ``SegmentKey`` and the local/remote op mix is the key's.
+        self.shard_key: Optional[Callable[[Hashable], Hashable]] = None
+        #: ``shard_of(key)``: the shard owning ``key`` (the memoised lookup)
+        self.shard_of = (lambda key: 0) if shards == 1 else self._shard_ids.__getitem__
         # instrumentation
         self.gets = 0
         self.puts = 0
@@ -180,15 +201,6 @@ class DistributedHashMap:
     def shards(self) -> int:
         """Number of server shards."""
         return len(self._shards)
-
-    def shard_of(self, key: Hashable) -> int:
-        """Shard id owning ``key`` (memoised ring lookup)."""
-        if len(self._shards) == 1:
-            return 0
-        sid = self._shard_ids.get(key)
-        if sid is None:
-            self._shard_ids[key] = sid = self.partitioner.shard_of(key)
-        return sid
 
     def _charge(self, key: Hashable, from_shard: Optional[int]) -> dict:
         shard_id = self.shard_of(key)

@@ -16,10 +16,10 @@ equivalence test in ``tests/diagnosis/`` enforces this), and two
 same-seed runs produce byte-identical event lists — which is what makes
 waste classification deterministic.
 
-Segment keys are interned to dense integer ids (``sid``) on first
-sight; tier names and cause strings are ordinary interned Python
-strings, so an event append costs one tuple allocation plus pointer
-stores.
+Segments are named by their integer id (``sid``, given out by
+:class:`~repro.storage.files.FileSystemModel`); tier names and cause
+strings are ordinary interned Python strings, so an event append costs
+one tuple allocation plus pointer stores.
 """
 
 from __future__ import annotations
@@ -90,13 +90,12 @@ class ProvenanceLog:
     def __init__(self):
         self.events: list[tuple] = []
         self._append = self.events.append
-        #: sid -> SegmentKey (interning table; index is the sid)
-        self.keys: list = []
-        self._ids: dict = {}
         self._next_decision = 0
-        #: segment key -> eid of the last file event folded into it (the
+        #: segment id -> eid of the last file event folded into it (the
         #: auditor writes it; decisions and moves inherit the flow)
         self.flow: dict = {}
+        #: the file model the sids belong to (set by the runner)
+        self.files = None
         #: engine-pass plan snapshots for the drift tracker:
         #: ``(t, ((sid, score), ...))``, capped
         self.snapshots: list[tuple] = []
@@ -116,9 +115,11 @@ class ProvenanceLog:
         """Attach the virtual clock (the telemetry handle calls this)."""
         self._env = env
 
-    def set_tiers(self, hierarchy) -> None:
+    def set_tiers(self, hierarchy, files=None) -> None:
         """Record the hierarchy shape the analyses need (names fast→slow,
-        capacities, device bandwidth/latency for wasted-time estimates)."""
+        capacities, device bandwidth/latency for wasted-time estimates)
+        and the file model that resolves the sids."""
+        self.files = files
         self.tier_names = [t.name for t in hierarchy.tiers]
         self.tier_capacities = [int(t.capacity) for t in hierarchy.tiers]
         self.backing_name = hierarchy.backing.name
@@ -138,55 +139,44 @@ class ProvenanceLog:
         env = self._env
         return env.now if env is not None else 0.0
 
-    def sid(self, key) -> int:
-        """Dense integer id for a segment key (interned on first sight)."""
-        sid = self._ids.get(key)
-        if sid is None:
-            sid = len(self.keys)
-            self._ids[key] = sid
-            self.keys.append(key)
-        return sid
-
     # -- emission (hot path: one tuple append each) ------------------------
-    def decision(self, key, kind: str, score: float, rank: int,
+    def decision(self, sid: int, kind: str, score: float, rank: int,
                  src: str, dst: str, nbytes: int, moved: bool) -> int:
         """Record one Algorithm 1 outcome; returns its decision id."""
         did = self._next_decision
         self._next_decision = did + 1
         self._append(
-            (EV_DECISION, self.now, did, self.sid(key), kind, score, rank,
-             src, dst, nbytes, moved, self.flow.get(key))
+            (EV_DECISION, self.now, did, sid, kind, score, rank,
+             src, dst, nbytes, moved, self.flow.get(sid))
         )
         return did
 
-    def move_done(self, did: int, key, src: str, dst: str, nbytes: int) -> None:
+    def move_done(self, did: int, sid: int, src: str, dst: str, nbytes: int) -> None:
         """A move instruction physically settled at its destination."""
         self._append(
-            (EV_MOVE_DONE, self.now, did, self.sid(key), src, dst, nbytes,
-             self.flow.get(key))
+            (EV_MOVE_DONE, self.now, did, sid, src, dst, nbytes, self.flow.get(sid))
         )
 
-    def move_failed(self, did: int, key, nbytes: int) -> None:
+    def move_failed(self, did: int, sid: int, nbytes: int) -> None:
         """A move instruction terminally failed (retry budget exhausted)."""
-        self._append((EV_MOVE_FAILED, self.now, did, self.sid(key), nbytes))
+        self._append((EV_MOVE_FAILED, self.now, did, sid, nbytes))
 
-    def evict(self, key, tier: str, cause: str) -> None:
+    def evict(self, sid: int, tier: str, cause: str) -> None:
         """A segment left its cache tier for ``cause``."""
-        self._append((EV_EVICT, self.now, self.sid(key), tier, cause))
+        self._append((EV_EVICT, self.now, sid, tier, cause))
 
-    def read(self, key, served: str, origin: str, hit: bool,
+    def read(self, sid: int, served: str, origin: str, hit: bool,
              nbytes: int, pid: int, t0: float, size: int) -> None:
         """One segment of a read request that started at ``t0`` and asked
         for ``size`` bytes, and where the segment was served from."""
         self._append(
-            (EV_READ, self.now, self.sid(key), served, origin, hit, nbytes, pid,
-             t0, size)
+            (EV_READ, self.now, sid, served, origin, hit, nbytes, pid, t0, size)
         )
 
     def snapshot(self, plan) -> None:
         """Capture the head of an engine pass's hotness-sorted plan.
 
-        ``plan`` is the engine's ``[(key, score), ...]`` sorted hotter
+        ``plan`` is the engine's ``[(sid, score), ...]`` sorted hotter
         first; its first ``SNAPSHOT_WIDTH`` entries are kept.  To stay
         bounded on arbitrarily long runs the log keeps at most
         ``MAX_SNAPSHOTS`` snapshots by decimation: once full, every second
@@ -204,7 +194,7 @@ class ProvenanceLog:
                 return
         head = plan[: self.SNAPSHOT_WIDTH]
         self.snapshots.append(
-            (self.now, tuple((self.sid(k), float(s)) for k, s in head))
+            (self.now, tuple((k, float(s)) for k, s in head))
         )
 
     # -- introspection -----------------------------------------------------
@@ -219,5 +209,5 @@ class ProvenanceLog:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<ProvenanceLog events={len(self.events)} "
-            f"decisions={self._next_decision} segments={len(self.keys)}>"
+            f"decisions={self._next_decision}>"
         )

@@ -35,7 +35,6 @@ from typing import Optional
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["AppCentricPrefetcher"]
@@ -69,14 +68,14 @@ class _AppPartition:
         self.ram = ram
         self.nvme = nvme
 
-    def lookup(self, key: SegmentKey) -> Optional[ManagedCache]:
+    def lookup(self, key: int) -> Optional[ManagedCache]:
         if self.ram is not None and self.ram.ready(key):
             return self.ram
         if self.nvme is not None and self.nvme.ready(key):
             return self.nvme
         return None
 
-    def known(self, key: SegmentKey) -> bool:
+    def known(self, key: int) -> bool:
         return (self.ram is not None and self.ram.known(key)) or (
             self.nvme is not None and self.nvme.known(key)
         )
@@ -156,7 +155,7 @@ class AppCentricPrefetcher(Prefetcher):
         return self._partitions.get(app)
 
     # -- runner hooks -----------------------------------------------------------
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
+    def plan_read(self, pid: int, node: int, key: int) -> ReadPlan:
         part = self._partition_of(pid)
         return self._plan(part.lookup(key) if part is not None else None, key)
 
@@ -186,7 +185,7 @@ class AppCentricPrefetcher(Prefetcher):
             for key in f.read_segments(predicted, size):
                 self._prefetch(part, key)
 
-    def _insert_demand(self, part: _AppPartition, key: SegmentKey) -> None:
+    def _insert_demand(self, part: _AppPartition, key: int) -> None:
         """Cache a just-read segment (bytes already local; RAM-write cost)."""
         assert self.ctx is not None
         if part.known(key):
@@ -207,7 +206,7 @@ class AppCentricPrefetcher(Prefetcher):
 
         self.ctx.env.process(writer(), name="appcentric-demand")
 
-    def _prefetch(self, part: _AppPartition, key: SegmentKey) -> None:
+    def _prefetch(self, part: _AppPartition, key: int) -> None:
         assert self.ctx is not None
         if part.known(key):
             return

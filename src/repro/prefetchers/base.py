@@ -8,9 +8,9 @@ interface and is driven identically by the workload runner:
 
 1. ``on_open(pid, node, file_id)`` — the process opened a file for
    reading.
-2. ``plan_read(pid, node, key)`` — *before* each segment read: where
-   will it be served from?  (This is the only place a solution can make
-   a read faster.)
+2. ``plan_read(pid, node, key)`` — *before* each segment read (``key``
+   is the segment's id): where will it be served from?  (This is the
+   only place a solution can make a read faster.)
 3. ``on_access(pid, node, file_id, offset, size)`` — *after* the read:
    observe the access (client-pull solutions trigger their fetches here;
    HFetch's events flow through inotify instead).
@@ -28,7 +28,6 @@ from typing import Generator, Optional
 
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan, RuntimeContext
-from repro.storage.segments import SegmentKey
 
 __all__ = ["Prefetcher"]
 
@@ -66,7 +65,7 @@ class Prefetcher:
     def on_open(self, pid: int, node: int, file_id: str) -> None:
         """A process opened ``file_id`` for reading."""
 
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
+    def plan_read(self, pid: int, node: int, key: int) -> ReadPlan:
         """Serving plan for one segment read (called before the read):
         the managed cache on a hit, else the file's origin."""
         return self._plan(self.cache, key)
@@ -103,15 +102,15 @@ class Prefetcher:
         return 0.0
 
     # -- the ManagedCache protocol shared by client-pull baselines ------------------
-    def _plan(self, cache: Optional[ManagedCache], key: SegmentKey) -> ReadPlan:
+    def _plan(self, cache: Optional[ManagedCache], key: int) -> ReadPlan:
         """Serve ``key`` from ``cache`` on a hit (LRU bump), else from its origin."""
         assert self.ctx is not None
         if cache is not None and cache.ready(key):
             cache.touch(key)
             return ReadPlan(tier=cache.tier)
-        return self.ctx.origin_plan(key.file_id)
+        return self.ctx.origin_plan(self.ctx.fs.file_id_of(key))
 
-    def _start_fetch(self, cache: ManagedCache, key: SegmentKey) -> bool:
+    def _start_fetch(self, cache: ManagedCache, key: int) -> bool:
         """Reserve room for ``key`` in ``cache`` and start its origin fetch;
         False when it is known already, empty, or cannot fit."""
         assert self.ctx is not None
@@ -147,10 +146,10 @@ class Prefetcher:
             if self._start_fetch(cache, key):
                 launched += 1
 
-    def _fetch(self, cache: ManagedCache, key: SegmentKey, nbytes: int) -> Generator:
+    def _fetch(self, cache: ManagedCache, key: int, nbytes: int) -> Generator:
         """Background process: origin → cache tier at prefetch priority."""
         assert self.ctx is not None
-        src = self.ctx.origin_tier(key.file_id)
+        src = self.ctx.origin_tier(self.ctx.fs.file_id_of(key))
         yield from src.read(nbytes, priority=src.pipe.PREFETCH)
         yield from cache.tier.write(nbytes, priority=cache.tier.pipe.PREFETCH)
         cache.commit_fetch(key)

@@ -24,7 +24,6 @@ from typing import Optional
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import ReadPlan, RuntimeContext
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["InMemoryOptimalPrefetcher", "InMemoryNaivePrefetcher"]
@@ -42,8 +41,8 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         self.window = window
         self.ram_budget = ram_budget
         self._caches: dict[int, ManagedCache] = {}
-        self._traces: dict[int, list[SegmentKey]] = {}
-        self._positions: dict[int, dict[SegmentKey, list[int]]] = {}
+        self._traces: dict[int, list[int]] = {}
+        self._positions: dict[int, dict[int, list[int]]] = {}
         self._cursor: dict[int, int] = {}
         self._partition = 0.0
 
@@ -57,7 +56,7 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         for proc in workload.processes:
             trace = proc.segment_trace(self.ctx.fs)
             self._traces[proc.pid] = trace
-            pos: dict[SegmentKey, list[int]] = defaultdict(list)
+            pos: dict[int, list[int]] = defaultdict(list)
             for i, key in enumerate(trace):
                 pos[key].append(i)
             self._positions[proc.pid] = dict(pos)
@@ -70,7 +69,7 @@ class InMemoryOptimalPrefetcher(Prefetcher):
                 )
 
     def _belady_chooser(self, pid: int):
-        def chooser(cache: ManagedCache) -> Optional[SegmentKey]:
+        def chooser(cache: ManagedCache) -> Optional[int]:
             cursor = self._cursor[pid]
             positions = self._positions[pid]
             best_key, best_next = None, -1
@@ -85,7 +84,7 @@ class InMemoryOptimalPrefetcher(Prefetcher):
         return chooser
 
     # -- runner hooks ----------------------------------------------------------------
-    def plan_read(self, pid: int, node: int, key: SegmentKey) -> ReadPlan:
+    def plan_read(self, pid: int, node: int, key: int) -> ReadPlan:
         return self._plan(self._caches.get(pid), key)
 
     def on_access(self, pid: int, node: int, file_id: str, offset: int, size: int) -> None:
@@ -130,10 +129,8 @@ class InMemoryNaivePrefetcher(Prefetcher):
         keys = f.read_segments(offset, size)
         if not keys:
             return
-        last = keys[-1].index
+        last = keys[-1]
         # every process read-aheads for itself — no coordination at all
-        for ahead in range(1, self.window + 1):
-            idx = last + ahead
-            if idx >= f.num_segments:
-                break
-            self._start_fetch(self.cache, SegmentKey(file_id, idx))
+        end = f.base + f.num_segments
+        for key in range(last + 1, min(last + self.window + 1, end)):
+            self._start_fetch(self.cache, key)

@@ -28,7 +28,6 @@ from typing import Optional
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import RuntimeContext
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["KnowAcPrefetcher"]
@@ -46,10 +45,10 @@ class KnowAcPrefetcher(Prefetcher):
         self.window = window
         self.ram_budget = ram_budget
         self._eff_window = window
-        self._traces: dict[int, list[SegmentKey]] = {}
+        self._traces: dict[int, list[int]] = {}
         self._cursor: dict[int, int] = {}
         # global next-use structure for far-future eviction
-        self._positions: dict[SegmentKey, list[tuple[int, int]]] = defaultdict(list)
+        self._positions: dict[int, list[tuple[int, int]]] = defaultdict(list)
         self._profile_cost = 0.0
 
     # -- lifecycle ----------------------------------------------------------------
@@ -97,7 +96,7 @@ class KnowAcPrefetcher(Prefetcher):
         return total
 
     # -- eviction: farthest global next use -------------------------------------------
-    def _far_future_chooser(self, cache: ManagedCache) -> Optional[SegmentKey]:
+    def _far_future_chooser(self, cache: ManagedCache) -> Optional[int]:
         best_key, best_next = None, -1
         for key in cache.resident_keys():
             nxt = self._next_use(key)
@@ -105,7 +104,7 @@ class KnowAcPrefetcher(Prefetcher):
                 best_key, best_next = key, nxt
         return best_key
 
-    def _next_use(self, key: SegmentKey) -> int:
+    def _next_use(self, key: int) -> int:
         uses = self._positions.get(key)
         if not uses:
             return 1 << 62

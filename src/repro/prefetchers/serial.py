@@ -22,7 +22,6 @@ from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import RuntimeContext
 from repro.sim.core import Interrupt, Process
 from repro.sim.resources import Store
-from repro.storage.segments import SegmentKey
 
 __all__ = ["SerialPrefetcher"]
 
@@ -48,11 +47,11 @@ class SerialPrefetcher(Prefetcher):
         self.ram_budget = ram_budget
         self.batch_segments = batch_segments
         self._queue: Optional[Store] = None
-        self._queued: set[SegmentKey] = set()
+        self._queued: set[int] = set()
         self._procs: list[Process] = []
-        # reader progress per (pid, file): fetching a segment the reader
-        # has already passed is pure waste, so stale queue entries are
-        # skipped at pop time
+        # reader progress per (pid, file), as the furthest segment id
+        # read: fetching a segment the reader has already passed is pure
+        # waste, so stale queue entries are skipped at pop time
         self._progress: dict[tuple[int, str], int] = {}
         self.stale_skipped = 0
 
@@ -80,25 +79,22 @@ class SerialPrefetcher(Prefetcher):
         keys = f.read_segments(offset, size)
         if not keys:
             return
-        last = keys[-1].index
+        last = keys[-1]
         prev = self._progress.get((pid, file_id), -1)
         self._progress[(pid, file_id)] = max(prev, last)
-        for ahead in range(1, self.window + 1):
-            idx = last + ahead
-            if idx >= f.num_segments:
-                break
-            key = SegmentKey(file_id, idx)
+        end = f.base + f.num_segments
+        for key in range(last + 1, min(last + self.window + 1, end)):
             if self.cache.known(key) or key in self._queued:
                 continue
             self._queued.add(key)
             self._queue.offer((pid, key))
 
     # -- worker -----------------------------------------------------------------------
-    def _claim(self, pid: int, key: SegmentKey) -> int:
+    def _claim(self, pid: int, key: int) -> int:
         """Reserve cache space for one queued key; 0 if not fetchable."""
         assert self.ctx is not None and self.cache is not None
         self._queued.discard(key)
-        if self._progress.get((pid, key.file_id), -1) >= key.index:
+        if self._progress.get((pid, self.ctx.fs.file_id_of(key)), -1) >= key:
             self.stale_skipped += 1  # the reader already passed this one
             return 0
         nbytes = self.ctx.segment_bytes(key)
@@ -112,7 +108,7 @@ class SerialPrefetcher(Prefetcher):
         try:
             while True:
                 pid, key = yield self._queue.get()
-                batch: list[tuple[SegmentKey, int]] = []
+                batch: list[tuple[int, int]] = []
                 nbytes = self._claim(pid, key)
                 if nbytes:
                     batch.append((key, nbytes))
@@ -129,7 +125,7 @@ class SerialPrefetcher(Prefetcher):
                 if not batch:
                     continue
                 total = sum(n for _k, n in batch)
-                src = ctx.origin_tier(batch[0][0].file_id)
+                src = ctx.origin_tier(ctx.fs.file_id_of(batch[0][0]))
                 try:
                     yield from src.read(total, priority=src.pipe.PREFETCH)
                     yield from self.cache.tier.write(total, priority=self.cache.tier.pipe.PREFETCH)

@@ -23,7 +23,6 @@ from typing import Optional
 from repro.prefetchers.base import Prefetcher
 from repro.prefetchers.util import ManagedCache
 from repro.runtime.context import RuntimeContext
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import WorkloadSpec
 
 __all__ = ["StackerPrefetcher"]
@@ -53,8 +52,8 @@ class StackerPrefetcher(Prefetcher):
         # transitions are learned along each *rank's* stream (interleaving
         # many ranks into one stream would corrupt the chains) but stored
         # in one shared model, as Stacker's staging engine is per-node
-        self._last: dict[tuple[int, str], SegmentKey] = {}
-        self._transitions: dict[SegmentKey, dict[SegmentKey, int]] = defaultdict(dict)
+        self._last: dict[tuple[int, str], int] = {}
+        self._transitions: dict[int, dict[int, int]] = defaultdict(dict)
         self._app_of_pid: dict[int, str] = {}
         self.predictions = 0
         self.cold_misses = 0
@@ -100,7 +99,7 @@ class StackerPrefetcher(Prefetcher):
             self._start_fetch(self.cache, nxt)
             current = nxt
 
-    def _predict(self, key: SegmentKey) -> Optional[SegmentKey]:
+    def _predict(self, key: int) -> Optional[int]:
         row = self._transitions.get(key)
         if not row:
             return None

@@ -23,9 +23,8 @@ __all__ = ["ManagedCache"]
 class ManagedCache:
     """A byte-budgeted prefetch cache on one tier, with pluggable eviction.
 
-    Keys are arbitrary hashables (usually :class:`SegmentKey`, or
-    ``(pid, SegmentKey)`` for per-process private caches).  The cache
-    tracks reserved (in-flight) bytes so concurrent fetches never
+    Keys are arbitrary hashables (the baselines use segment ids).  The
+    cache tracks reserved (in-flight) bytes so concurrent fetches never
     overshoot the budget, and exposes LRU eviction by default with an
     optional victim-chooser override (used for Belady baselines).
     """

@@ -18,7 +18,6 @@ from repro.network.topology import ClusterTopology
 from repro.sim.core import Environment
 from repro.storage.files import FileSystemModel, SimFile
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 if TYPE_CHECKING:  # typing-only: telemetry is optional per run
@@ -79,6 +78,6 @@ class RuntimeContext:
         origin = self.origin_tier(f)
         return self.hierarchy.tier_index(served_from) < self.hierarchy.tier_index(origin)
 
-    def segment_bytes(self, key: SegmentKey) -> int:
-        """Byte length of a segment (via the file record)."""
-        return self.fs.get(key.file_id).segment_bytes(key)
+    def segment_bytes(self, key: int) -> int:
+        """Byte length of segment ``key`` (via its file record)."""
+        return self.fs.get(self.fs.file_id_of(key)).segment_bytes(key)

@@ -81,7 +81,7 @@ class WorkflowRunner:
         #: offline analysis; kept out of the recording-overhead budget)
         self.diagnosis_derive_s = 0.0
         if self._prov is not None:
-            self._prov.set_tiers(self.ctx.hierarchy)
+            self._prov.set_tiers(self.ctx.hierarchy, self.ctx.fs)
         self._app_done: dict[str, Event] = {}
         self._app_procs: dict[str, list] = defaultdict(list)
 

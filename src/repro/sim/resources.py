@@ -113,6 +113,9 @@ class Resource:
             except ValueError:
                 pass
             return
+        # a grant's value is the request itself: drop that self-reference
+        # so a released request is freed at once, not left to the cyclic GC
+        request._value = None
         self._dispatch()
 
     # -- internals -------------------------------------------------------
@@ -180,6 +183,7 @@ class PriorityResource(Resource):
             except ValueError:
                 pass
             return
+        request._value = None  # no self-reference left (see Resource.release)
         self._dispatch()
 
     def _dispatch(self) -> None:

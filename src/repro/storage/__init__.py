@@ -25,7 +25,6 @@ from repro.storage.files import FileSystemModel, SimFile
 from repro.storage.hierarchy import StorageHierarchy, TierFullError
 from repro.storage.segments import (
     SegmentKey,
-    covering_segments,
     segment_bounds,
     segment_count,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "StorageTier",
     "StripedTier",
     "TierFullError",
-    "covering_segments",
     "segment_bounds",
     "segment_count",
 ]

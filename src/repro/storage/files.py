@@ -9,15 +9,11 @@ optimisation is expressed per file region (§III-B).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-from repro.storage.segments import (
-    SegmentKey,
-    covering_segments,
-    segment_count,
-    segment_size_of,
-)
+from repro.storage.segments import SegmentKey, segment_count
 
 __all__ = ["SimFile", "FileSystemModel"]
 
@@ -34,6 +30,11 @@ class SimFile:
         Logical size in bytes.
     segment_size:
         Segmentation geometry used for this file's prefetching units.
+    base:
+        Integer id of segment 0; segment ``i`` is ``base + i`` (assigned
+        by :class:`FileSystemModel`, see its notes on id ranges).
+    num_segments:
+        Number of prefetching units covering the file.
     """
 
     file_id: str
@@ -50,59 +51,45 @@ class SimFile:
     #: while the file was unwatched still invalidate stale prefetched
     #: copies.
     version: int = 0
+    base: int = 0
+    num_segments: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.size < 0:
             raise ValueError(f"file size must be non-negative: {self.size}")
         if self.segment_size <= 0:
             raise ValueError(f"segment size must be positive: {self.segment_size}")
+        self.num_segments = segment_count(self.size, self.segment_size)
 
-    @property
-    def num_segments(self) -> int:
-        """Number of prefetching units covering the file."""
-        return segment_count(self.size, self.segment_size)
+    def segments(self) -> range:
+        """Every segment id of the file, in order."""
+        return range(self.base, self.base + self.num_segments)
 
-    def segments(self) -> Iterator[SegmentKey]:
-        """Iterate over every segment key of the file, in order."""
-        for i in range(self.num_segments):
-            yield SegmentKey(self.file_id, i)
-
-    def segment_key(self, index: int) -> SegmentKey:
-        """Key of segment ``index`` (bounds-checked)."""
+    def segment_id(self, index: int) -> int:
+        """Id of segment ``index`` (bounds-checked)."""
         if not 0 <= index < self.num_segments:
             raise IndexError(f"segment {index} out of range for {self.file_id}")
-        return SegmentKey(self.file_id, index)
+        return self.base + index
 
-    def segment_bytes(self, key: SegmentKey) -> int:
-        """Byte length of ``key`` within this file (last may be short)."""
-        if key.file_id != self.file_id:
-            raise ValueError(f"{key} does not belong to {self.file_id}")
-        return segment_size_of(key, self.size, self.segment_size)
+    def segment_bytes(self, sid: int) -> int:
+        """Byte length of segment ``sid`` within this file (last may be short)."""
+        index = sid - self.base
+        if not 0 <= index < self.num_segments:
+            raise ValueError(f"segment id {sid} does not belong to {self.file_id}")
+        return min(self.segment_size, self.size - index * self.segment_size)
 
-    def segment_span(self, offset: int, size: int) -> tuple[int, int]:
-        """``(first, last)`` segment indexes a read touches, clipped.
-
-        The allocation-free core of :meth:`read_segments` for hot paths
-        (the auditor's event fold) that walk the index range
-        directly instead of materialising a key list.  An empty span is
-        signalled as ``(0, -1)`` so ``range(first, last + 1)`` is empty.
-        """
+    def read_segments(self, offset: int, size: int) -> range:
+        """Ids of the segments a read touches, clipped to the file's extent
+        (empty for a zero-byte read or one starting past the end)."""
         if offset >= self.size:
-            return (0, -1)
+            return range(0)
         size = min(size, self.size - offset)
         if offset < 0 or size < 0:
             raise ValueError(f"offset/size must be non-negative, got {offset}/{size}")
         if size == 0:
-            return (0, -1)
-        seg = self.segment_size
-        return (offset // seg, (offset + size - 1) // seg)
-
-    def read_segments(self, offset: int, size: int) -> list[SegmentKey]:
-        """Segments touched by a read, clipped to the file's extent."""
-        if offset >= self.size:
-            return []
-        size = min(size, self.size - offset)
-        return covering_segments(self.file_id, offset, size, self.segment_size)
+            return range(0)
+        seg, base = self.segment_size, self.base
+        return range(base + offset // seg, base + (offset + size - 1) // seg + 1)
 
 
 class FileSystemModel:
@@ -111,6 +98,17 @@ class FileSystemModel:
     One instance backs a whole experiment; the workload generators create
     their datasets here and every component resolves ``file_id`` through
     it.
+
+    It also numbers the segments.  The first time a ``file_id`` is
+    created it is given a contiguous range of integer ids, one per
+    segment, after every range given out before; segment ``i`` of the
+    file is ``base + i``.  Every layer keys its per-segment state by that
+    id, and :meth:`segment_key` turns one back into its
+    :class:`~repro.storage.segments.SegmentKey` for reports.  A file
+    re-created under the same ``file_id`` keeps its range, so its ids
+    equal its old ones, as its keys do; one re-created with more segments
+    than the range holds gets a fresh range, and the old ids then name
+    segments of no live file (like those of a removed file).
     """
 
     def __init__(self, default_segment_size: int = 1 << 20):
@@ -118,6 +116,12 @@ class FileSystemModel:
             raise ValueError("default segment size must be positive")
         self.default_segment_size = default_segment_size
         self._files: dict[str, SimFile] = {}
+        # file_id -> (base, width) of its current id range
+        self._ranges: dict[str, tuple[int, int]] = {}
+        # every range ever given out, in id order: bases and owners
+        self._bases: list[int] = []
+        self._owners: list[str] = []
+        self._next_id = 0
 
     def create(
         self,
@@ -130,6 +134,14 @@ class FileSystemModel:
         if file_id in self._files:
             raise FileExistsError(f"file already exists: {file_id}")
         f = SimFile(file_id, size, segment_size or self.default_segment_size, origin)
+        n = f.num_segments
+        base, width = self._ranges.get(file_id, (0, -1))
+        if width < n:
+            base, width = self._ranges[file_id] = (self._next_id, n)
+            self._bases.append(base)
+            self._owners.append(file_id)
+            self._next_id += n
+        f.base = base
         self._files[file_id] = f
         return f
 
@@ -147,6 +159,36 @@ class FileSystemModel:
     def lookup(self, file_id: str) -> Optional[SimFile]:
         """The file record, or ``None`` when ``file_id`` is not registered."""
         return self._files.get(file_id)
+
+    # -- segment ids -------------------------------------------------------
+    def segment_id(self, file_id: str, index: int) -> int:
+        """Id of segment ``index`` of a registered file (bounds-checked)."""
+        return self.get(file_id).segment_id(index)
+
+    def file_id_of(self, sid: int) -> str:
+        """The ``file_id`` whose range holds ``sid`` (an id given out)."""
+        return self._owners[bisect_right(self._bases, sid) - 1]
+
+    def segment_key(self, sid: int) -> SegmentKey:
+        """The key of segment id ``sid`` (KeyError if never given out)."""
+        if not 0 <= sid < self._next_id:
+            raise KeyError(f"segment id {sid} was never given out")
+        i = bisect_right(self._bases, sid) - 1
+        return SegmentKey(self._owners[i], sid - self._bases[i])
+
+    def file_of(self, sid: int) -> Optional[SimFile]:
+        """The registered file segment ``sid`` belongs to, or ``None``."""
+        if not 0 <= sid < self._next_id:
+            return None
+        f = self._files.get(self._owners[bisect_right(self._bases, sid) - 1])
+        if f is not None and 0 <= sid - f.base < f.num_segments:
+            return f
+        return None
+
+    def ids_of(self, file_id: str) -> range:
+        """Every id of ``file_id``'s current range (empty if never created)."""
+        base, width = self._ranges.get(file_id, (0, 0))
+        return range(base, base + width)
 
     def touch_write(self, file_id: str) -> int:
         """Record a content change; returns the new version."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 __all__ = ["StorageHierarchy", "TierFullError"]
@@ -38,7 +37,12 @@ class StorageHierarchy:
         if len(set(names)) != len(names):
             raise ValueError(f"tier names must be unique, got {names}")
         self.backing = backing
-        self._location: dict[SegmentKey, StorageTier] = {}
+        self._by_name = {t.name: t for t in (*self.tiers, backing)}
+        self._location: dict[int, StorageTier] = {}
+        #: ``locate(key)``: the tier currently holding segment ``key``, or
+        #: None (i.e. backing only); the ledger's own lookup, unwrapped
+        #: because placement asks it several times per decision
+        self.locate = self._location.get
         # instrumentation
         self.placements = 0
         self.evictions = 0
@@ -70,12 +74,10 @@ class StorageHierarchy:
 
     def by_name(self, name: str) -> StorageTier:
         """Look a tier up by name (including the backing tier)."""
-        for t in self.tiers:
-            if t.name == name:
-                return t
-        if self.backing.name == name:
-            return self.backing
-        raise KeyError(f"no tier named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no tier named {name!r}") from None
 
     @property
     def fastest(self) -> StorageTier:
@@ -87,7 +89,7 @@ class StorageHierarchy:
         return [t for t in self.tiers if t.available]
 
     # -- health ------------------------------------------------------------
-    def fail_tier(self, tier: StorageTier) -> list[tuple[SegmentKey, int]]:
+    def fail_tier(self, tier: StorageTier) -> list[tuple[int, int]]:
         """Take ``tier`` offline, returning its displaced ``(key, size)`` list.
 
         The cache is exclusive over a durable backing store, so an
@@ -116,16 +118,12 @@ class StorageHierarchy:
         tier.recover()
 
     # -- residency ---------------------------------------------------------
-    def locate(self, key: SegmentKey) -> Optional[StorageTier]:
-        """Tier currently holding ``key``, or None (i.e. backing only)."""
-        return self._location.get(key)
-
-    def resident_tier_name(self, key: SegmentKey) -> str:
+    def resident_tier_name(self, key: int) -> str:
         """Name of the tier serving ``key`` (backing name if unplaced)."""
         tier = self._location.get(key)
         return tier.name if tier is not None else self.backing.name
 
-    def place(self, key: SegmentKey, nbytes: int, tier: StorageTier) -> None:
+    def place(self, key: int, nbytes: int, tier: StorageTier) -> None:
         """Make ``key`` resident on ``tier`` (exclusive: removed elsewhere).
 
         Raises :class:`TierFullError` if the tier cannot fit the segment;
@@ -157,7 +155,7 @@ class StorageHierarchy:
         self._location[key] = tier
         self.placements += 1
 
-    def evict(self, key: SegmentKey, cause: str = "evicted") -> bool:
+    def evict(self, key: int, cause: str = "evicted") -> bool:
         """Drop ``key`` from whatever tier holds it. True if it was held.
 
         ``cause`` ("rejected", "invalidated", "move-failed", ...) is what
@@ -172,14 +170,14 @@ class StorageHierarchy:
             self.prov.evict(key, tier.name, cause)
         return True
 
-    def resident_segments(self) -> dict[SegmentKey, StorageTier]:
+    def resident_segments(self) -> dict[int, StorageTier]:
         """Snapshot of the full location map."""
         return dict(self._location)
 
     # -- sanity -------------------------------------------------------------
     def check_invariants(self) -> None:
         """Assert exclusivity and ledger consistency (used heavily in tests)."""
-        seen: dict[SegmentKey, str] = {}
+        seen: dict[int, str] = {}
         for tier in self.tiers:
             used = 0
             for key in tier.resident_keys():

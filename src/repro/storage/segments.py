@@ -1,12 +1,15 @@
 """File-segment arithmetic.
 
 A *file segment* is the prefetching unit in HFetch (paper §III-C): a file
-region enclosed by start and end offsets.  Segments are identified by
+region enclosed by start and end offsets.  Segments are named by
 ``(file_id, index)`` where ``index`` enumerates fixed-size slots of the
 file at the configured segment size; the *dynamic* granularity of the
 paper is realised by always operating on the exact set of segments a read
 covers (a 3 MB read at offset 0 with 1 MB segments touches segments
-0, 1 and 2 — the paper's own example).
+0, 1 and 2 — the paper's own example).  Inside the simulation each
+segment is an integer id (see
+:class:`~repro.storage.files.FileSystemModel`); :class:`SegmentKey` is
+the name reports and tests use.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import NamedTuple
 
 __all__ = [
     "SegmentKey",
-    "covering_segments",
     "segment_bounds",
     "segment_count",
     "segment_size_of",
@@ -30,25 +32,6 @@ class SegmentKey(NamedTuple):
 
     def __str__(self) -> str:
         return f"{self.file_id}[{self.index}]"
-
-
-def covering_segments(
-    file_id: str, offset: int, size: int, segment_size: int
-) -> list[SegmentKey]:
-    """Keys of every segment a read of ``size`` bytes at ``offset`` touches.
-
-    A zero-byte read touches nothing.  Offsets/sizes must be non-negative
-    and the segment size positive.
-    """
-    if segment_size <= 0:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
-    if offset < 0 or size < 0:
-        raise ValueError(f"offset/size must be non-negative, got {offset}/{size}")
-    if size == 0:
-        return []
-    first = offset // segment_size
-    last = (offset + size - 1) // segment_size
-    return [SegmentKey(file_id, i) for i in range(first, last + 1)]
 
 
 def segment_bounds(index: int, segment_size: int) -> tuple[int, int]:
@@ -67,9 +50,9 @@ def segment_count(file_size: int, segment_size: int) -> int:
     return -(-file_size // segment_size)  # ceil division
 
 
-def segment_size_of(key: SegmentKey, file_size: int, segment_size: int) -> int:
-    """Actual byte length of a segment (the last one may be short)."""
-    start, end = segment_bounds(key.index, segment_size)
+def segment_size_of(index: int, file_size: int, segment_size: int) -> int:
+    """Actual byte length of segment ``index`` (the last one may be short)."""
+    start, end = segment_bounds(index, segment_size)
     if start >= file_size:
         return 0
     return min(end, file_size) - start

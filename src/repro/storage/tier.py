@@ -18,7 +18,6 @@ from typing import Generator, Iterable
 from repro.sim.core import Environment
 from repro.sim.pipes import BandwidthPipe
 from repro.storage.devices import DeviceProfile
-from repro.storage.segments import SegmentKey
 
 __all__ = ["StorageTier", "TierHealth"]
 
@@ -64,7 +63,7 @@ class StorageTier:
             channels=profile.channels,
             name=self.name,
         )
-        self._resident: dict[SegmentKey, int] = {}
+        self._resident: dict[int, int] = {}
         self._used = 0
         # health state (driven by the fault injector; HEALTHY in normal runs)
         self.health = TierHealth.HEALTHY
@@ -101,15 +100,15 @@ class StorageTier:
         """Number of resident segments."""
         return len(self._resident)
 
-    def has(self, key: SegmentKey) -> bool:
+    def has(self, key: int) -> bool:
         """Whether ``key`` is resident on this tier."""
         return key in self._resident
 
-    def resident_keys(self) -> Iterable[SegmentKey]:
+    def resident_keys(self) -> Iterable[int]:
         """Iterate over resident segment keys (insertion order)."""
         return self._resident.keys()
 
-    def size_of(self, key: SegmentKey) -> int:
+    def size_of(self, key: int) -> int:
         """Resident byte size of ``key`` (KeyError if absent)."""
         return self._resident[key]
 
@@ -119,7 +118,7 @@ class StorageTier:
             return False
         return self._used + nbytes <= self.capacity
 
-    def admit(self, key: SegmentKey, nbytes: int) -> None:
+    def admit(self, key: int, nbytes: int) -> None:
         """Record ``key`` as resident (capacity-checked)."""
         if key in self._resident:
             raise ValueError(f"{key} is already resident on {self.name}")
@@ -134,7 +133,7 @@ class StorageTier:
         if self._used > self.peak_used:
             self.peak_used = self._used
 
-    def drop(self, key: SegmentKey) -> int:
+    def drop(self, key: int) -> int:
         """Remove ``key`` from the ledger, returning its size."""
         try:
             nbytes = self._resident.pop(key)

@@ -186,7 +186,7 @@ class Telemetry:
             for n in ("engine.place", "io.move_done", "runner.read")
             for s in tracer.named(n)
         }
-        keys = self.provenance.keys
+        files = self.provenance.files
         issued: dict = {}
         request = None
         for ev in self.provenance.events:
@@ -194,7 +194,7 @@ class Telemetry:
                 if (ev[7], ev[8]) != request:
                     request = (ev[7], ev[8])
                     views[f"rank-{ev[7]}"].buf.extend(
-                        (ev[8], ev[1], None, keys[ev[2]].file_id, ev[9])
+                        (ev[8], ev[1], None, files.file_id_of(ev[2]), ev[9])
                     )
             elif ev[0] == EV_DECISION:
                 issued[ev[2]] = ev[1]

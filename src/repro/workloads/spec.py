@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.storage.files import FileSystemModel
-from repro.storage.segments import SegmentKey, covering_segments
 
 __all__ = ["ReadOp", "StepSpec", "ProcessSpec", "AppSpec", "WorkloadSpec", "FileDecl"]
 
@@ -104,9 +103,9 @@ class ProcessSpec:
         """Total written bytes across all steps."""
         return sum(s.bytes_written for s in self.steps)
 
-    def segment_trace(self, fs: FileSystemModel) -> list[SegmentKey]:
-        """The exact segment access sequence (clairvoyant knowledge)."""
-        trace: list[SegmentKey] = []
+    def segment_trace(self, fs: FileSystemModel) -> list[int]:
+        """The exact segment-id access sequence (clairvoyant knowledge)."""
+        trace: list[int] = []
         for step in self.steps:
             for op in step.reads:
                 f = fs.get(op.file_id)

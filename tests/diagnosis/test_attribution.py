@@ -13,6 +13,8 @@ from repro.diagnosis.provenance import ProvenanceLog
 from .conftest import run_diagnosed
 
 MB = 1 << 20
+#: the segment id every unit test here records
+SID = 7
 
 
 class _Clock:
@@ -32,14 +34,14 @@ def fresh_log():
 # ------------------------------------------------------------ unit stories
 def test_move_used_is_credited_and_classified_used():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
     clock.now = 1.0
-    prov.move_done(did, "k", "PFS", "RAM", MB)
+    prov.move_done(did, SID, "PFS", "RAM", MB)
     clock.now = 3.0
-    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)
+    prov.read(SID, "RAM", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: USED}
-    assert rep.credits == [(3.0, prov.sid("k"), did)]
+    assert rep.credits == [(3.0, SID, did)]
     assert rep.hits_by_kind == {"place": 1}
     assert rep.decisions[did].hits == 1
     assert rep.decisions[did].first_use_delay == 2.0  # from move arrival
@@ -49,11 +51,11 @@ def test_move_used_is_credited_and_classified_used():
 
 def test_read_before_move_settles_is_too_late():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
     clock.now = 1.0
-    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)  # still served from source
+    prov.read(SID, "PFS", "PFS", False, MB, 0, 0.0, MB)  # still served from source
     clock.now = 2.0
-    prov.move_done(did, "k", "PFS", "RAM", MB)
+    prov.move_done(did, SID, "PFS", "RAM", MB)
     rep = replay(prov)
     assert rep.miss_causes == {"too-late": 1}
     # arrived, then never read again until run end
@@ -62,7 +64,7 @@ def test_read_before_move_settles_is_too_late():
 
 def test_never_placed_miss_cause():
     prov, _clock = fresh_log()
-    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
+    prov.read(SID, "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.miss_causes == {"never-placed": 1}
     assert rep.move_class == {}
@@ -70,12 +72,12 @@ def test_never_placed_miss_cause():
 
 def test_invalidated_before_use():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
-    prov.move_done(did, "k", "PFS", "RAM", MB)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
+    prov.move_done(did, SID, "PFS", "RAM", MB)
     clock.now = 1.0
-    prov.evict("k", "RAM", "invalidated")
+    prov.evict(SID, "RAM", "invalidated")
     clock.now = 2.0
-    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
+    prov.read(SID, "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: INVALIDATED_UNUSED}
     assert rep.miss_causes == {"invalidated-before-use": 1}
@@ -83,22 +85,22 @@ def test_invalidated_before_use():
 
 def test_cancelled_in_flight_move_classified_by_cancel_cause():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
     clock.now = 0.5
-    prov.evict("k", "RAM", "invalidated")  # revoked while in flight
+    prov.evict(SID, "RAM", "invalidated")  # revoked while in flight
     clock.now = 1.0
-    prov.move_done(did, "k", "PFS", "RAM", MB)  # bytes still arrive
+    prov.move_done(did, SID, "PFS", "RAM", MB)  # bytes still arrive
     rep = replay(prov)
     assert rep.move_class == {did: INVALIDATED_UNUSED}
 
 
 def test_failed_move_is_dead_on_arrival_and_prefetch_failed_miss():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
     clock.now = 1.0
-    prov.move_failed(did, "k", MB)
+    prov.move_failed(did, SID, MB)
     clock.now = 2.0
-    prov.read("k", "PFS", "PFS", False, MB, 0, 0.0, MB)
+    prov.read(SID, "PFS", "PFS", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {did: DEAD_ON_ARRIVAL}
     assert rep.miss_causes == {"prefetch-failed": 1}
@@ -106,13 +108,13 @@ def test_failed_move_is_dead_on_arrival_and_prefetch_failed_miss():
 
 def test_superseding_move_closes_unused_window_as_evicted():
     prov, clock = fresh_log()
-    d1 = prov.decision("k", "place", 5.0, 0, "PFS", "NVMe", MB, True)
-    prov.move_done(d1, "k", "PFS", "NVMe", MB)
+    d1 = prov.decision(SID, "place", 5.0, 0, "PFS", "NVMe", MB, True)
+    prov.move_done(d1, SID, "PFS", "NVMe", MB)
     clock.now = 1.0
-    d2 = prov.decision("k", "promote", 9.0, 0, "NVMe", "RAM", MB, True)
-    prov.move_done(d2, "k", "NVMe", "RAM", MB)
+    d2 = prov.decision(SID, "promote", 9.0, 0, "NVMe", "RAM", MB, True)
+    prov.move_done(d2, SID, "NVMe", "RAM", MB)
     clock.now = 2.0
-    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)
+    prov.read(SID, "RAM", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class[d1] == EVICTED_UNUSED  # superseded before use
     assert rep.move_class[d2] == USED
@@ -121,24 +123,24 @@ def test_superseding_move_closes_unused_window_as_evicted():
 
 def test_ledger_only_decision_opens_window_without_waste_class():
     prov, clock = fresh_log()
-    did = prov.decision("k", "demote", 1.0, 2, "NVMe", "NVMe", MB, False)
+    did = prov.decision(SID, "demote", 1.0, 2, "NVMe", "NVMe", MB, False)
     clock.now = 1.0
-    prov.read("k", "NVMe", "PFS", True, MB, 0, 0.0, MB)
+    prov.read(SID, "NVMe", "PFS", True, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.move_class == {}  # no bytes moved, nothing to classify
-    assert rep.credits == [(1.0, prov.sid("k"), did)]
+    assert rep.credits == [(1.0, SID, did)]
 
 
 def test_pending_move_at_run_end_is_dead_on_arrival():
     prov, _clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "PFS", "RAM", MB, True)
+    did = prov.decision(SID, "place", 5.0, 0, "PFS", "RAM", MB, True)
     rep = replay(prov)  # run ends before move_done
     assert rep.move_class == {did: DEAD_ON_ARRIVAL}
 
 
 def test_hit_with_no_window_is_unattributed():
     prov, _clock = fresh_log()
-    prov.read("k", "RAM", "PFS", True, MB, 0, 0.0, MB)  # e.g. a baseline's cache
+    prov.read(SID, "RAM", "PFS", True, MB, 0, 0.0, MB)  # e.g. a baseline's cache
     rep = replay(prov)
     assert rep.unattributed_hits == 1
     assert rep.credits == []
@@ -146,10 +148,10 @@ def test_hit_with_no_window_is_unattributed():
 
 def test_owned_but_slow_window_counts_placed_too_slow():
     prov, clock = fresh_log()
-    did = prov.decision("k", "place", 5.0, 0, "BurstBuffer", "BurstBuffer",
+    did = prov.decision(SID, "place", 5.0, 0, "BurstBuffer", "BurstBuffer",
                         MB, False)
     clock.now = 1.0
-    prov.read("k", "BurstBuffer", "BurstBuffer", False, MB, 0, 0.0, MB)
+    prov.read(SID, "BurstBuffer", "BurstBuffer", False, MB, 0, 0.0, MB)
     rep = replay(prov)
     assert rep.miss_causes == {"placed-too-slow": 1}
     assert rep.decisions[did].uses == 1 and rep.decisions[did].hits == 0

@@ -21,7 +21,6 @@ from repro.dhm.hashmap import DistributedHashMap
 from repro.dhm.wal import WriteAheadLog
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
-from repro.storage.segments import SegmentKey
 
 MB = 1 << 20
 
@@ -86,7 +85,7 @@ def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
         def record(stats, key=key, prev=prev):
             if stats is None:
                 stats = SegmentStats(key=key, nbytes=f.segment_bytes(key))
-                auditor._file_keys.setdefault(key.file_id, {})[key] = None
+                auditor._file_keys.setdefault(event.file_id, {})[key] = None
             stats.record(event.timestamp, prev)
             return stats
 
@@ -174,7 +173,7 @@ def test_on_events_equivalent_to_per_event_loop(shards):
     # drained dirty vectors (the engine's input) match in content & order
     assert ref.drain_dirty() == whole.drain_dirty() == single.drain_dirty()
     # and the scores computed from all states are identical
-    keys = [SegmentKey("/a", i) for i in range(64)]
+    keys = ref.fs.get("/a").segments()
     assert list(ref.batch_score(keys, 1.0)) == list(single.batch_score(keys, 1.0))
 
 
@@ -230,11 +229,12 @@ def test_write_invalidation_ordering_within_batch():
     batched.on_events(events)
     assert_equivalent(ref, batched)
     # the surviving record is the post-write access only
-    s = batched.stats_of(SegmentKey("/a", 0))
+    a = fs.get("/a").segment_id
+    s = batched.stats_of(a(0))
     assert s is not None and s.refs == 1 and list(s.times) == [0.3]
-    assert batched.stats_of(SegmentKey("/a", 1)) is None
+    assert batched.stats_of(a(1)) is None
     # predecessor chain was reset by the invalidation
-    assert batched._last_segment[("/a", 1)] == SegmentKey("/a", 0)
+    assert batched._last_segment[("/a", 1)] == a(0)
 
 
 def test_cross_stream_sequencing_in_batch():
@@ -248,12 +248,13 @@ def test_cross_stream_sequencing_in_batch():
     ]
     auditor = FileSegmentAuditor(HFetchConfig(), fs)
     auditor.on_events(events)
-    s0 = auditor.stats_of(SegmentKey("/a", 0))
-    s10 = auditor.stats_of(SegmentKey("/a", 10))
-    assert s0.successors == {SegmentKey("/a", 1): 1}
-    assert s10.successors == {SegmentKey("/a", 11): 1}
-    assert auditor._last_segment[("/a", 1)] == SegmentKey("/a", 1)
-    assert auditor._last_segment[("/a", 2)] == SegmentKey("/a", 11)
+    a = fs.get("/a").segment_id
+    s0 = auditor.stats_of(a(0))
+    s10 = auditor.stats_of(a(10))
+    assert s0.successors == {a(1): 1}
+    assert s10.successors == {a(11): 1}
+    assert auditor._last_segment[("/a", 1)] == a(1)
+    assert auditor._last_segment[("/a", 2)] == a(11)
 
 
 def test_on_events_notifies_listeners_once_with_final_count():
@@ -286,5 +287,5 @@ def test_on_events_respects_dirty_capacity():
     assert len(auditor._dirty) == DIRTY_VECTOR_CAPACITY
     assert auditor.dirty_dropped == 2
     assert auditor.drain_dirty() == [
-        SegmentKey("/big", i) for i in range(DIRTY_VECTOR_CAPACITY)
+        fs.segment_id("/big", i) for i in range(DIRTY_VECTOR_CAPACITY)
     ]

@@ -12,7 +12,6 @@ from repro.sim.core import Environment
 from repro.storage.devices import BURST_BUFFER, DRAM, NVME, PFS_DISK
 from repro.storage.files import FileSystemModel
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 MB = 1 << 20
@@ -75,7 +74,7 @@ def test_write_only_open_is_ignored():
     assert not auditor.in_epoch("/f")
     assert ino.active_watches == 0
     agent.close("/f")  # must not raise or end any epoch
-    assert mgr.epochs_ended == 0
+    assert auditor.heatmaps.load("/f") is None  # an ended epoch saves one
 
 
 def test_multiple_openers_single_watch():
@@ -114,7 +113,7 @@ def test_agent_misuse_rejected():
 def test_locate_returns_tier_and_cost():
     env, mgr, auditor, ino, hier = make_manager()
     agent = mgr.connect(1)
-    key = SegmentKey("/f", 0)
+    key = auditor.fs.segment_id("/f", 0)
     tier, cost = agent.locate(key)
     assert tier is None and cost > 0
     hier.place(key, MB, hier.tiers[0])
@@ -142,7 +141,7 @@ def test_server_end_to_end_event_flow_places_data():
         agent.read("/f", offset=0, size=MB)
     env.run(until=1.0)
     assert server.auditor.events_processed >= 3
-    assert hier.locate(SegmentKey("/f", 0)) is not None
+    assert hier.locate(fs.segment_id("/f", 0)) is not None
     hier.check_invariants()
     server.stop()
 
@@ -153,10 +152,10 @@ def test_server_write_invalidates_prefetched_data():
     agent.open("/f")
     agent.read("/f", offset=0, size=MB)
     env.run(until=1.0)
-    assert hier.locate(SegmentKey("/f", 0)) is not None
+    assert hier.locate(fs.segment_id("/f", 0)) is not None
     agent.write("/f", offset=0, size=MB)
     env.run(until=2.0)
-    assert hier.locate(SegmentKey("/f", 0)) is None
+    assert hier.locate(fs.segment_id("/f", 0)) is None
     server.stop()
 
 

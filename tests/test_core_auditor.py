@@ -6,7 +6,6 @@ from repro.core.auditor import DIRTY_VECTOR_CAPACITY, FileSegmentAuditor
 from repro.core.config import HFetchConfig
 from repro.events.types import EventType, FileEvent
 from repro.storage.files import FileSystemModel
-from repro.storage.segments import SegmentKey
 
 MB = 1 << 20
 
@@ -26,9 +25,9 @@ def test_read_event_updates_covered_segments():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, 3 * MB, t=1.0))
     for i in range(3):
-        stats = aud.stats_of(SegmentKey("/f", i))
+        stats = aud.stats_of(aud.fs.segment_id("/f", i))
         assert stats is not None and stats.refs == 1
-    assert aud.stats_of(SegmentKey("/f", 3)) is None
+    assert aud.stats_of(aud.fs.segment_id("/f", 3)) is None
     assert aud.score_updates == 3
 
 
@@ -36,9 +35,9 @@ def test_scores_reflect_frequency():
     aud, _ = make_auditor()
     for t in (1.0, 2.0, 3.0):
         aud.on_event(read_event(0, MB, t=t))
-    hot = aud.score_of(SegmentKey("/f", 0), now=3.0)
+    hot = aud.score_of(aud.fs.segment_id("/f", 0), now=3.0)
     aud.on_event(read_event(5 * MB, MB, t=3.0))
-    cold = aud.score_of(SegmentKey("/f", 5), now=3.0)
+    cold = aud.score_of(aud.fs.segment_id("/f", 5), now=3.0)
     assert hot > cold
 
 
@@ -49,24 +48,24 @@ def test_sequencing_follows_per_process_stream():
     aud.on_event(read_event(8 * MB, MB, t=1.1, pid=1))
     aud.on_event(read_event(1 * MB, MB, t=1.2, pid=0))
     aud.on_event(read_event(9 * MB, MB, t=1.3, pid=1))
-    s0 = aud.stats_of(SegmentKey("/f", 0))
-    s8 = aud.stats_of(SegmentKey("/f", 8))
-    assert s0.most_likely_successor() == SegmentKey("/f", 1)
-    assert s8.most_likely_successor() == SegmentKey("/f", 9)
+    s0 = aud.stats_of(aud.fs.segment_id("/f", 0))
+    s8 = aud.stats_of(aud.fs.segment_id("/f", 8))
+    assert s0.most_likely_successor() == aud.fs.segment_id("/f", 1)
+    assert s8.most_likely_successor() == aud.fs.segment_id("/f", 9)
 
 
 def test_multi_segment_read_chains_internally():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, 3 * MB, t=1.0))
-    assert aud.stats_of(SegmentKey("/f", 0)).most_likely_successor() == SegmentKey("/f", 1)
-    assert aud.stats_of(SegmentKey("/f", 1)).most_likely_successor() == SegmentKey("/f", 2)
+    assert aud.stats_of(aud.fs.segment_id("/f", 0)).most_likely_successor() == aud.fs.segment_id("/f", 1)
+    assert aud.stats_of(aud.fs.segment_id("/f", 1)).most_likely_successor() == aud.fs.segment_id("/f", 2)
 
 
 def test_dirty_vector_drains_once():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, 2 * MB))
     dirty = aud.drain_dirty()
-    assert set(dirty) == {SegmentKey("/f", 0), SegmentKey("/f", 1)}
+    assert set(dirty) == {aud.fs.segment_id("/f", 0), aud.fs.segment_id("/f", 1)}
     assert aud.drain_dirty() == []
     assert aud.pending_updates == 0
 
@@ -84,7 +83,7 @@ def test_dirty_vector_bounded_drops_newest():
     aud.on_event(read_event(0, (DIRTY_VECTOR_CAPACITY + 2) * MB, fid="/big"))
     assert aud.pending_updates == DIRTY_VECTOR_CAPACITY
     assert aud.dirty_dropped == 2
-    assert SegmentKey("/big", DIRTY_VECTOR_CAPACITY) not in aud.drain_dirty()
+    assert aud.fs.segment_id("/big", DIRTY_VECTOR_CAPACITY) not in aud.drain_dirty()
 
 
 def test_epoch_refcounting():
@@ -107,7 +106,7 @@ def test_epoch_close_persists_heatmap_and_reopen_seeds_dirty():
     # re-open: the stored heatmap warms the dirty vector immediately
     aud.start_epoch("/f")
     warmed = aud.drain_dirty()
-    assert SegmentKey("/f", 0) in warmed
+    assert aud.fs.segment_id("/f", 0) in warmed
 
 
 def test_write_event_invalidates_stats_and_calls_hook():
@@ -116,7 +115,7 @@ def test_write_event_invalidates_stats_and_calls_hook():
     aud.invalidate_hook = invalidated.append
     aud.on_event(read_event(0, 2 * MB, t=1.0))
     aud.on_event(FileEvent(EventType.WRITE, "/f", offset=0, size=MB, timestamp=2.0))
-    assert aud.stats_of(SegmentKey("/f", 0)) is None
+    assert aud.stats_of(aud.fs.segment_id("/f", 0)) is None
     assert aud.pending_updates == 0
     assert invalidated == ["/f"]
     assert aud.invalidations == 1
@@ -133,14 +132,14 @@ def test_fold_geometry_follows_a_removed_and_recreated_file():
     aud, fs = make_auditor()
     fs.create("/g", 4 * MB)
     aud.on_event(read_event(3 * MB, MB, fid="/g"))
-    assert aud.stats_of(SegmentKey("/g", 3)).nbytes == MB
+    assert aud.stats_of(aud.fs.ids_of("/g")[3]).nbytes == MB
     fs.remove("/g")
     aud.on_event(read_event(0, MB, fid="/g"))
-    assert aud.stats_of(SegmentKey("/g", 0)) is None  # gone: ignored
+    assert aud.stats_of(aud.fs.ids_of("/g")[0]) is None  # gone: ignored
     fs.create("/g", 2 * MB + MB // 2)
     aud.on_event(read_event(2 * MB, MB, fid="/g"))
     # segment 2 is now the short last segment of the new record
-    assert aud.stats_of(SegmentKey("/g", 2)).nbytes == MB // 2
+    assert aud.stats_of(aud.fs.ids_of("/g")[2]).nbytes == MB // 2
 
 
 def test_batch_score_alignment():
@@ -148,7 +147,7 @@ def test_batch_score_alignment():
     aud.on_event(read_event(0, MB, t=1.0))
     aud.on_event(read_event(1 * MB, MB, t=1.0))
     aud.on_event(read_event(1 * MB, MB, t=2.0))
-    keys = [SegmentKey("/f", 0), SegmentKey("/f", 9), SegmentKey("/f", 1)]
+    keys = [aud.fs.segment_id("/f", 0), aud.fs.segment_id("/f", 9), aud.fs.segment_id("/f", 1)]
     scores = aud.batch_score(keys, now=2.0)
     assert scores[1] == 0.0  # never accessed
     assert scores[2] > scores[0]  # twice-read beats once-read
@@ -160,8 +159,8 @@ def test_home_node_is_first_accessor():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, MB, node=5))
     aud.on_event(read_event(0, MB, node=9))
-    assert aud.home_node(SegmentKey("/f", 0)) == 5
-    assert aud.home_node(SegmentKey("/f", 7)) == 0  # default
+    assert aud.home_node(aud.fs.segment_id("/f", 0)) == 5
+    assert aud.home_node(aud.fs.segment_id("/f", 7)) == 0  # default
 
 
 def test_build_heatmap_shape():

@@ -14,7 +14,6 @@ from repro.sim.core import Environment
 from repro.storage.devices import BURST_BUFFER, DRAM, NVME, PFS_DISK
 from repro.storage.files import FileSystemModel
 from repro.storage.hierarchy import StorageHierarchy
-from repro.storage.segments import SegmentKey
 from repro.storage.tier import StorageTier
 
 MB = 1 << 20
@@ -58,7 +57,7 @@ def test_hot_segment_lands_in_top_tier():
     env, engine, auditor, hier, io = build()
     touch(auditor, 0, t=0.0, times=5)
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 0)) is hier.tiers[0]
+    assert hier.locate(auditor.fs.segment_id("/f", 0)) is hier.tiers[0]
     hier.check_invariants()
 
 
@@ -68,9 +67,9 @@ def test_score_spectrum_maps_onto_tiers():
     touch(auditor, 1, t=0.0, times=4)
     touch(auditor, 2, t=0.0, times=2)
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 0)).name == "RAM"
-    assert hier.locate(SegmentKey("/f", 1)).name == "NVMe"
-    assert hier.locate(SegmentKey("/f", 2)).name == "BurstBuffer"
+    assert hier.locate(auditor.fs.segment_id("/f", 0)).name == "RAM"
+    assert hier.locate(auditor.fs.segment_id("/f", 1)).name == "NVMe"
+    assert hier.locate(auditor.fs.segment_id("/f", 2)).name == "BurstBuffer"
     hier.check_invariants()
 
 
@@ -78,12 +77,12 @@ def test_hotter_newcomer_demotes_colder_resident():
     env, engine, auditor, hier, io = build(ram_cap=1 * MB, lookahead_depth=0)
     touch(auditor, 1, t=0.0, times=2)
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 1)).name == "RAM"
+    assert hier.locate(auditor.fs.segment_id("/f", 1)).name == "RAM"
     # a much hotter segment arrives later
     touch(auditor, 2, t=5.0, times=8)
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 2)).name == "RAM"
-    assert hier.locate(SegmentKey("/f", 1)).name == "NVMe"  # demoted, not evicted
+    assert hier.locate(auditor.fs.segment_id("/f", 2)).name == "RAM"
+    assert hier.locate(auditor.fs.segment_id("/f", 1)).name == "NVMe"  # demoted, not evicted
     assert engine.segments_demoted >= 1
     hier.check_invariants()
 
@@ -94,8 +93,8 @@ def test_colder_newcomer_sinks_below_full_tier():
     run_pass(env, engine)
     touch(auditor, 1, t=10.0, times=1)  # colder than the resident
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 0)).name == "RAM"
-    assert hier.locate(SegmentKey("/f", 1)).name == "NVMe"
+    assert hier.locate(auditor.fs.segment_id("/f", 0)).name == "RAM"
+    assert hier.locate(auditor.fs.segment_id("/f", 1)).name == "NVMe"
     hier.check_invariants()
 
 
@@ -104,7 +103,7 @@ def test_epoch_filter_skips_closed_files():
     touch(auditor, 0, t=0.0)
     auditor.end_epoch("/f")
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 0)) is None
+    assert hier.locate(auditor.fs.segment_id("/f", 0)) is None
     assert engine.segments_placed == 0
 
 
@@ -113,7 +112,7 @@ def test_lookahead_places_successors():
     touch(auditor, 0, t=0.0, times=3)
     run_pass(env, engine)
     # spatial successors of the hot segment were placed somewhere
-    placed = [hier.locate(SegmentKey("/f", i)) for i in (1, 2, 3)]
+    placed = [hier.locate(auditor.fs.segment_id("/f", i)) for i in (1, 2, 3)]
     assert all(t is not None for t in placed)
     # and the far one never outranks the near one
     idx = [hier.tier_index(t) for t in placed]
@@ -129,7 +128,7 @@ def test_lookahead_follows_learned_successor_over_spatial():
     auditor.drain_dirty()
     touch(auditor, 5, t=3.0)
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 9)) is not None
+    assert hier.locate(auditor.fs.segment_id("/f", 9)) is not None
 
 
 def test_count_trigger_fires_engine():
@@ -172,7 +171,7 @@ def test_interval_trigger_fires_engine():
     touch(auditor, 0, t=0.0)
     env.run(until=2.0)
     assert engine.passes >= 1
-    assert hier.locate(SegmentKey("/f", 0)) is not None
+    assert hier.locate(auditor.fs.segment_id("/f", 0)) is not None
     engine.stop()
 
 
@@ -191,7 +190,7 @@ def test_in_flight_serves_from_source():
     # run the pass synchronously but do NOT let the io client finish
     proc = env.process(engine.run_pass())
     env.run(until=proc)
-    key = SegmentKey("/f", 0)
+    key = auditor.fs.segment_id("/f", 0)
     assert hier.locate(key) is not None  # ledger placed
     assert io.serving_tier_name(key) == "PFS"  # still physically at origin
     env.run(until=env.now + 5.0)
@@ -203,7 +202,7 @@ def test_invalidate_file_clears_engine_state():
     touch(auditor, 0, t=0.0, times=3)
     run_pass(env, engine)
     assert engine.invalidate_file("/f") >= 1
-    assert hier.locate(SegmentKey("/f", 0)) is None
+    assert hier.locate(auditor.fs.segment_id("/f", 0)) is None
 
 
 def test_demotion_hysteresis_prevents_equal_score_churn():
@@ -214,19 +213,19 @@ def test_demotion_hysteresis_prevents_equal_score_churn():
     touch(auditor, 1, t=0.003, times=3)
     run_pass(env, engine)
     resident, newcomer = (
-        auditor.score_of(SegmentKey("/f", i), env.now) for i in (0, 1)
+        auditor.score_of(auditor.fs.segment_id("/f", i), env.now) for i in (0, 1)
     )
     assert resident < newcomer < resident * placement.DEMOTION_HYSTERESIS
-    assert hier.locate(SegmentKey("/f", 0)).name == "RAM"
-    assert hier.locate(SegmentKey("/f", 1)).name == "NVMe"
+    assert hier.locate(auditor.fs.segment_id("/f", 0)).name == "RAM"
+    assert hier.locate(auditor.fs.segment_id("/f", 1)).name == "NVMe"
 
 
 def test_zero_score_segments_not_placed():
     env, engine, auditor, hier, io = build()
     # dirty entry with no stats (e.g. seeded from a heatmap of a shrunk file)
-    auditor._dirty[SegmentKey("/f", 4)] = None
+    auditor._dirty[auditor.fs.segment_id("/f", 4)] = None
     run_pass(env, engine)
-    assert hier.locate(SegmentKey("/f", 4)) is None
+    assert hier.locate(auditor.fs.segment_id("/f", 4)) is None
 
 
 # ------------------------------------------------- placement invariants
@@ -274,7 +273,7 @@ def test_invariants_hold_under_mixed_operation_sequence():
         elif step[0] == "invalidate":
             engine.invalidate_file("/f")
             assert all(
-                hier.locate(SegmentKey("/f", i)) is None for i in range(10)
+                hier.locate(auditor.fs.segment_id("/f", i)) is None for i in range(10)
             )
         assert_placement_invariants(hier, engine)
     # the sequence must actually have exercised demotions
@@ -292,7 +291,7 @@ def test_invariants_hold_with_demote_to_bottom_and_eviction():
             touch(auditor, idx, t=env.now, times=1)
         run_pass(env, engine)
         assert_placement_invariants(hier, engine)
-    resident = [hier.locate(SegmentKey("/f", i)) for i in range(4)]
+    resident = [hier.locate(auditor.fs.segment_id("/f", i)) for i in range(4)]
     assert sum(1 for r in resident if r is not None) <= 3
 
 
@@ -302,13 +301,11 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.core.stats import SegmentStats  # noqa: E402
 
-# /f has 32 segments (spatial chains run to its end), /g has 3, /x does
-# not exist (no stats and no spatial fallback: a dead end)
-WALK_KEYS = (
-    [SegmentKey("/f", i) for i in (0, 1, 2, 3, 4, 5, 30, 31)]
-    + [SegmentKey("/g", i) for i in range(3)]
-    + [SegmentKey("/x", 0), SegmentKey("/x", 1)]
-)
+# /f has 32 segments (spatial chains run to its end) and is created
+# first, so its ids are 0-31; /g has 3, created second (ids 32-34); ids
+# 100 and 101 were never given out (no stats and no spatial fallback: a
+# dead end)
+WALK_KEYS = [0, 1, 2, 3, 4, 5, 30, 31] + [32, 33, 34] + [100, 101]
 
 
 def reference_candidates(
@@ -327,11 +324,15 @@ def reference_candidates(
             stats = auditor.stats_map.get(current)
             nxt = stats.most_likely_successor() if stats is not None else None
             if nxt is None:
-                if not auditor.fs.exists(current.file_id):
+                try:
+                    file_id, index = auditor.fs.segment_key(current)
+                except KeyError:
                     break
-                if current.index + 1 >= auditor.fs.get(current.file_id).num_segments:
+                if not auditor.fs.exists(file_id):
                     break
-                nxt = SegmentKey(current.file_id, current.index + 1)
+                if index + 1 >= auditor.fs.get(file_id).num_segments:
+                    break
+                nxt = auditor.fs.segment_id(file_id, index + 1)
             if value > candidates.get(nxt, 0.0):
                 candidates[nxt] = value
             current = nxt
@@ -376,9 +377,10 @@ def test_pruned_walk_skips_repeated_chains():
     calls = []
     stats_of = auditor.stats_of
     auditor.stats_of = lambda key: calls.append(key) or stats_of(key)
-    keys = [SegmentKey("/f", 1), SegmentKey("/f", 0)]
+    f = auditor.fs.get("/f")
+    keys = [f.segment_id(1), f.segment_id(0)]
     # /f/0's walk reaches /f/1 with a lower value and fewer hops left
     # than /f/1's own walk expanded it with, so it stops there
     candidates = engine._candidates(keys, [1.0, 1.0])
-    assert calls == [SegmentKey("/f", i) for i in range(1, 17)] + [SegmentKey("/f", 0)]
+    assert calls == [f.segment_id(i) for i in range(1, 17)] + [f.segment_id(0)]
     assert candidates == reference_candidates(auditor, engine.config, keys, [1.0, 1.0])

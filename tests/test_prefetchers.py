@@ -110,9 +110,9 @@ def test_none_prefetcher_always_plans_origin():
     cluster, ctx = make_ctx()
     pf = NoPrefetcher()
     pf.attach(ctx)
-    plan = pf.plan_read(0, 0, SegmentKey("/f", 0))
+    plan = pf.plan_read(0, 0, ctx.fs.segment_id("/f", 0))
     assert plan.tier is ctx.hierarchy.backing
-    plan = pf.plan_read(0, 0, SegmentKey("/staged", 0))
+    plan = pf.plan_read(0, 0, ctx.fs.segment_id("/staged", 0))
     assert plan.tier.name == "BurstBuffer"
 
 
@@ -123,7 +123,7 @@ def test_serial_prefetcher_fetches_ahead_and_hits():
     pf.on_access(0, 0, "/f", 0, MB)
     ctx.env.run(until=2.0)
     assert pf.bytes_prefetched > 0
-    plan = pf.plan_read(0, 0, SegmentKey("/f", 1))
+    plan = pf.plan_read(0, 0, ctx.fs.segment_id("/f", 1))
     assert plan.tier.name == "RAM"
     pf.detach()
 
@@ -158,7 +158,7 @@ def test_inmemory_optimal_uses_trace_knowledge():
     pf.on_access(0, 0, "/f", 0, MB)
     ctx.env.run(until=2.0)
     assert pf.bytes_prefetched > 0
-    assert pf.plan_read(0, 0, SegmentKey("/f", 1)).tier.name == "RAM"
+    assert pf.plan_read(0, 0, ctx.fs.segment_id("/f", 1)).tier.name == "RAM"
 
 
 def test_inmemory_naive_shared_cache_pollution_counted():
@@ -200,7 +200,7 @@ def test_appcentric_partitions_per_app():
     # demand caching: a read lands in the app's partition
     pf.on_access(0, 0, "/f", 0, MB)
     ctx.env.run(until=1.0)
-    assert pf.plan_read(0, 0, SegmentKey("/f", 0)).tier.name in ("RAM", "NVMe")
+    assert pf.plan_read(0, 0, ctx.fs.segment_id("/f", 0)).tier.name in ("RAM", "NVMe")
 
 
 def test_stacker_learns_transitions_before_predicting():
@@ -240,4 +240,4 @@ def test_knowac_prefetches_exact_future():
     pf.on_access(0, 0, "/f", 0, MB)
     ctx.env.run(until=2.0)
     # the next trace entries (offsets 1,2,3 MB) were staged
-    assert pf.plan_read(0, 0, SegmentKey("/f", 1)).tier.name == "RAM"
+    assert pf.plan_read(0, 0, ctx.fs.segment_id("/f", 1)).tier.name == "RAM"

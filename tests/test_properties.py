@@ -15,13 +15,9 @@ from repro.dhm.wal import WriteAheadLog
 from repro.prefetchers.util import ManagedCache
 from repro.sim.core import Environment
 from repro.storage.devices import DRAM, NVME, PFS_DISK
+from repro.storage.files import SimFile
 from repro.storage.hierarchy import StorageHierarchy, TierFullError
-from repro.storage.segments import (
-    SegmentKey,
-    covering_segments,
-    segment_count,
-    segment_size_of,
-)
+from repro.storage.segments import SegmentKey, segment_count, segment_size_of
 from repro.storage.tier import StorageTier
 
 MB = 1 << 20
@@ -35,9 +31,10 @@ MB = 1 << 20
 )
 def test_covering_segments_exactly_covers_range(offset, size, seg):
     assume(size // seg < 4096)  # keep the key list reasonably sized
-    keys = covering_segments("f", offset, size, seg)
+    # a file large enough never to clip, at id base 0 (ids are indexes)
+    keys = SimFile("f", offset + size, seg).read_segments(offset, size)
     assert keys, "non-empty read must touch at least one segment"
-    indices = [k.index for k in keys]
+    indices = list(keys)
     # contiguous, ascending, unique
     assert indices == list(range(indices[0], indices[-1] + 1))
     # first segment contains the start, last contains the final byte
@@ -50,7 +47,7 @@ def test_covering_segments_exactly_covers_range(offset, size, seg):
 def test_segment_sizes_sum_to_file_size(file_size, seg):
     assume(file_size // seg < 4096)
     n = segment_count(file_size, seg)
-    total = sum(segment_size_of(SegmentKey("f", i), file_size, seg) for i in range(n))
+    total = sum(segment_size_of(i, file_size, seg) for i in range(n))
     assert total == file_size
 
 

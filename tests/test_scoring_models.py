@@ -115,7 +115,7 @@ def test_auditor_respects_configured_model():
     assert isinstance(aud.scoring_model, EWMARateModel)
     for t in (0.0, 0.2, 0.4):
         aud.on_event(FileEvent(EventType.READ, "/f", 0, MB, timestamp=t))
-    score = aud.score_of(SegmentKey("/f", 0), now=0.4)
+    score = aud.score_of(aud.fs.segment_id("/f", 0), now=0.4)
     assert score == pytest.approx(
-        EWMARateModel().score(aud.stats_of(SegmentKey("/f", 0)), 0.4, 2.0)
+        EWMARateModel().score(aud.stats_of(aud.fs.segment_id("/f", 0)), 0.4, 2.0)
     )

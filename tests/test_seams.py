@@ -90,10 +90,10 @@ def test_stat_on_open_without_intervening_write_keeps_cache():
     env, engine, auditor, hier = build_engine()
     fs = auditor.fs
     auditor.on_event(FileEvent(EventType.READ, "/f", 0, MB, timestamp=0.0))
-    hier.place(SegmentKey("/f", 0), MB, hier.tiers[0])
+    hier.place(fs.segment_id("/f", 0), MB, hier.tiers[0])
     auditor.end_epoch("/f", now=1.0)
     auditor.start_epoch("/f")  # same version: nothing invalidated
-    assert hier.locate(SegmentKey("/f", 0)) is not None
+    assert hier.locate(fs.segment_id("/f", 0)) is not None
     assert auditor.invalidations == 0
 
 
@@ -176,7 +176,7 @@ def test_lookahead_stops_at_file_end():
     env.run(until=proc)
     # no placement may reference a segment past EOF
     for key in hier.resident_segments():
-        assert key.index <= last
+        assert fs.segment_key(key).index <= last
 
 
 def test_zero_lookahead_places_only_accessed():
@@ -185,4 +185,4 @@ def test_zero_lookahead_places_only_accessed():
     proc = env.process(engine.run_pass())
     env.run(until=proc)
     resident = list(hier.resident_segments())
-    assert resident == [SegmentKey("/f", 0)]
+    assert resident == [auditor.fs.segment_id("/f", 0)]

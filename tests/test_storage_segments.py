@@ -1,10 +1,14 @@
-"""Unit tests for segment arithmetic (repro.storage.segments)."""
+"""Unit tests for segment arithmetic (repro.storage.segments).
+
+The covering-segment cases run through ``SimFile.read_segments`` on a
+file large enough never to clip, at id base 0 so ids equal indexes.
+"""
 
 import pytest
 
+from repro.storage.files import SimFile
 from repro.storage.segments import (
     SegmentKey,
-    covering_segments,
     segment_bounds,
     segment_count,
     segment_size_of,
@@ -13,40 +17,44 @@ from repro.storage.segments import (
 MB = 1 << 20
 
 
+def covering_segments(offset, size, segment_size):
+    return list(SimFile("f", 1 << 40, segment_size).read_segments(offset, size))
+
+
 def test_paper_example_3mb_read_touches_three_segments():
     # "assume the segment size is 1MB and there is an fread() operation
     # starting at offset 0 with 3MB size, then HFetch will prefetch
     # segments 1, 2, and 3" (§III-C)
-    keys = covering_segments("f", 0, 3 * MB, 1 * MB)
-    assert [k.index for k in keys] == [0, 1, 2]
+    keys = covering_segments(0, 3 * MB, 1 * MB)
+    assert keys == [0, 1, 2]
 
 
 def test_unaligned_read_includes_boundary_segments():
-    keys = covering_segments("f", MB - 1, 2, MB)
-    assert [k.index for k in keys] == [0, 1]
+    keys = covering_segments(MB - 1, 2, MB)
+    assert keys == [0, 1]
 
 
 def test_zero_size_read_touches_nothing():
-    assert covering_segments("f", 100, 0, MB) == []
+    assert covering_segments(100, 0, MB) == []
 
 
 def test_single_byte_read():
-    keys = covering_segments("f", 5 * MB + 17, 1, MB)
-    assert [k.index for k in keys] == [5]
+    keys = covering_segments(5 * MB + 17, 1, MB)
+    assert keys == [5]
 
 
 def test_exact_segment_boundary_read():
-    keys = covering_segments("f", 2 * MB, MB, MB)
-    assert [k.index for k in keys] == [2]
+    keys = covering_segments(2 * MB, MB, MB)
+    assert keys == [2]
 
 
 def test_invalid_inputs_rejected():
     with pytest.raises(ValueError):
-        covering_segments("f", -1, 10, MB)
+        covering_segments(-1, 10, MB)
     with pytest.raises(ValueError):
-        covering_segments("f", 0, -1, MB)
+        covering_segments(0, -1, MB)
     with pytest.raises(ValueError):
-        covering_segments("f", 0, 10, 0)
+        covering_segments(0, 10, 0)
 
 
 def test_segment_bounds():
@@ -74,12 +82,12 @@ def test_segment_count_invalid_inputs():
 
 def test_segment_size_of_full_and_tail():
     file_size = int(2.5 * MB)
-    assert segment_size_of(SegmentKey("f", 0), file_size, MB) == MB
-    assert segment_size_of(SegmentKey("f", 2), file_size, MB) == file_size - 2 * MB
+    assert segment_size_of(0, file_size, MB) == MB
+    assert segment_size_of(2, file_size, MB) == file_size - 2 * MB
 
 
 def test_segment_size_of_beyond_eof_is_zero():
-    assert segment_size_of(SegmentKey("f", 9), 2 * MB, MB) == 0
+    assert segment_size_of(9, 2 * MB, MB) == 0
 
 
 def test_segment_key_str():
@@ -95,7 +103,7 @@ def test_keys_are_hashable_and_comparable():
 def test_covering_segments_total_coverage():
     # the segments returned must jointly cover the requested byte range
     offset, size, seg = 3 * MB + 123, 5 * MB + 7, MB
-    keys = covering_segments("f", offset, size, seg)
-    lo = keys[0].index * seg
-    hi = (keys[-1].index + 1) * seg
+    keys = covering_segments(offset, size, seg)
+    lo = keys[0] * seg
+    hi = (keys[-1] + 1) * seg
     assert lo <= offset and offset + size <= hi

@@ -190,15 +190,15 @@ def test_invalidate_file_evicts_only_that_file():
     config = HFetchConfig()
     io = IOClientPool(env, h)
     engine = PlacementEngine(env, config, h, FileSegmentAuditor(config, fs), io)
-    engine._place(SegmentKey("a", 0), MB, 2.0, h.tiers[0])
-    engine._place(SegmentKey("a", 1), MB, 1.0, h.tiers[1])
-    engine._place(SegmentKey("b", 0), MB, 2.0, h.tiers[0])
+    engine._place(fs.segment_id("a", 0), MB, 2.0, h.tiers[0])
+    engine._place(fs.segment_id("a", 1), MB, 1.0, h.tiers[1])
+    engine._place(fs.segment_id("b", 0), MB, 2.0, h.tiers[0])
     assert engine.invalidate_file("a") == 2
-    assert h.locate(SegmentKey("a", 0)) is None
-    assert h.locate(SegmentKey("a", 1)) is None
-    assert h.locate(SegmentKey("b", 0)) is h.tiers[0]
+    assert h.locate(fs.segment_id("a", 0)) is None
+    assert h.locate(fs.segment_id("a", 1)) is None
+    assert h.locate(fs.segment_id("b", 0)) is h.tiers[0]
     # the engine forgets the file's scores and in-flight moves too
-    assert set(engine._scores) == set(io.in_flight) == {SegmentKey("b", 0)}
+    assert set(engine._scores) == set(io.in_flight) == {fs.segment_id("b", 0)}
     h.check_invariants()
 
 
@@ -231,7 +231,7 @@ def test_evictions_record_the_cause_their_caller_passes():
     h.evict(SegmentKey("a", 1))
     h.evict(SegmentKey("a", 2), cause="invalidated")
     h.evict(SegmentKey("b", 0), cause="move-failed")
-    causes = [(prov.keys[e[2]], e[3], e[4]) for e in prov.events if e[0] == EV_EVICT]
+    causes = [(e[2], e[3], e[4]) for e in prov.events if e[0] == EV_EVICT]
     assert causes == [
         (SegmentKey("a", 0), "RAM", "rejected"),
         (SegmentKey("a", 1), "RAM", "evicted"),

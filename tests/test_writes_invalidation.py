@@ -8,7 +8,6 @@ from repro.prefetchers.none import NoPrefetcher
 from repro.runtime.cluster import ClusterSpec, SimulatedCluster, TierSpec
 from repro.runtime.runner import WorkflowRunner
 from repro.storage.devices import BURST_BUFFER, DRAM, NVME
-from repro.storage.segments import SegmentKey
 from repro.workloads.spec import (
     AppSpec,
     FileDecl,
@@ -33,7 +32,7 @@ class CheckedInvalidation(HFetchPrefetcher):
 
         def state(file_id):
             def count(keys):
-                return sum(1 for k in keys if k.file_id == file_id)
+                return sum(1 for k in keys if server.fs.file_id_of(k) == file_id)
 
             return (
                 count(server.hierarchy.resident_segments()),
@@ -215,11 +214,11 @@ def test_invalidation_cost_independent_of_other_files():
 
     assert scans == []  # no full-map scan
     assert auditor.stats_map.deletes - deletes_before == 3
-    assert auditor.stats_of(SegmentKey("/tiny", 0)) is None
+    assert auditor.stats_of(fs.segment_id("/tiny", 0)) is None
     # the big neighbour is untouched
     assert len(auditor.stats_map) == 1000
-    assert auditor.stats_of(SegmentKey("/huge", 999)) is not None
+    assert auditor.stats_of(fs.segment_id("/huge", 999)) is not None
     # its dirty entries survive; the written file's are gone
     drained = auditor.drain_dirty()
     assert len(drained) == 1000
-    assert all(k.file_id == "/huge" for k in drained)
+    assert all(fs.file_id_of(k) == "/huge" for k in drained)
