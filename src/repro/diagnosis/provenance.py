@@ -24,10 +24,14 @@ one tuple allocation plus pointer stores.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "ProvenanceLog",
+    "ReadIndex",
     "EV_DECISION",
     "EV_MOVE_DONE",
     "EV_MOVE_FAILED",
@@ -211,3 +215,47 @@ class ProvenanceLog:
             f"<ProvenanceLog events={len(self.events)} "
             f"decisions={self._next_decision}>"
         )
+
+
+class ReadIndex:
+    """The log's ``EV_READ`` records as columns, for drift and oracle.
+
+    :meth:`of` scans the event log once.  Each column holds one entry
+    per read, in log (= time) order: ``t``, ``sid``, ``served`` and
+    ``origin`` (tier positions: 0 = fastest, backing =
+    ``len(tier_names)``; -1 before :meth:`ProvenanceLog.set_tiers`),
+    ``nbytes`` and ``hit``.  The drift check reads ``t`` and ``sid``;
+    the oracle reads every column.
+    """
+
+    __slots__ = ("t", "sid", "served", "origin", "nbytes", "hit")
+
+    def __init__(self, t, sid, served, origin, nbytes, hit):
+        self.t = np.array(t, dtype=float)
+        self.sid = list(sid)
+        self.served = np.array(served, dtype=np.int64)
+        self.origin = np.array(origin, dtype=np.int64)
+        self.nbytes = np.array(nbytes, dtype=np.int64)
+        self.hit = np.array(hit, dtype=bool)
+
+    @classmethod
+    def of(cls, prov: ProvenanceLog) -> "ReadIndex":
+        """Index every ``EV_READ`` of ``prov``."""
+        reads = [ev for ev in prov.events if ev[0] == EV_READ]
+        index = prov._tier_index
+
+        def column(k: int) -> list:
+            return list(map(itemgetter(k), reads))
+
+        def positions(k: int) -> list:
+            return [index.get(name, -1) for name in column(k)]
+
+        return cls(column(1), column(2), positions(3), positions(4), column(6), column(5))
+
+    @classmethod
+    def from_rows(cls, rows) -> "ReadIndex":
+        """Index ``(t, sid, served, origin, nbytes, hit)`` rows."""
+        return cls(*(list(map(itemgetter(k), rows)) for k in range(6)))
+
+    def __len__(self) -> int:
+        return len(self.sid)

@@ -18,6 +18,7 @@ from pathlib import Path
 from repro.diagnosis.attribution import ReplayResult, replay
 from repro.diagnosis.drift import analyze_drift
 from repro.diagnosis.oracle import analyze_oracle
+from repro.diagnosis.provenance import ReadIndex
 from repro.diagnosis.waste import analyze_waste
 from repro.telemetry.analysis import percentile
 
@@ -63,11 +64,12 @@ class DiagnosisReport:
                 "p99": percentile(rep.decision_to_use, 0.99),
             },
         }
+        reads = ReadIndex.of(prov)  # one scan of the reads for drift and oracle
         return cls(
             waste=analyze_waste(prov, rep),
             attribution=attribution,
-            drift=analyze_drift(prov),
-            oracle=analyze_oracle(prov),
+            drift=analyze_drift(prov, reads),
+            oracle=analyze_oracle(prov, reads),
             replay=rep,
         )
 

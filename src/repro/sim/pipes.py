@@ -103,7 +103,7 @@ class BandwidthPipe:
     #: priority class for prefetch/movement traffic: demand requests
     #: (priority 0) are always served first — a prefetcher must never
     #: delay the very reads it exists to accelerate
-    PREFETCH = 1
+    PREFETCH = PriorityResource.PREFETCH
 
     def transfer(self, nbytes: int, priority: int = 0) -> Generator:
         """A process generator moving ``nbytes`` through the pipe.

@@ -4,8 +4,8 @@ These model shared hardware and software resources:
 
 * :class:`Resource` — a counted FCFS resource (device channels, CPU
   threads).  Requests queue in arrival order.
-* :class:`PriorityResource` — like :class:`Resource` but requests carry a
-  priority (lower value served first; FIFO within a priority).
+* :class:`PriorityResource` — like :class:`Resource` with two request
+  classes: demand is served before prefetch, FIFO within each.
 * :class:`Store` — an unbounded-or-bounded FIFO of items (the HFetch event
   queue between the inotify producers and the hardware-monitor daemons).
 
@@ -15,7 +15,6 @@ they asked.
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from heapq import heappush
 from typing import Any
@@ -108,10 +107,7 @@ class Resource:
             self.users.remove(request)
         except ValueError:
             # Releasing a request that was never granted cancels it.
-            try:
-                self.queue.remove(request)
-            except ValueError:
-                pass
+            self._cancel(request)
             return
         # a grant's value is the request itself: drop that self-reference
         # so a released request is freed at once, not left to the cyclic GC
@@ -119,6 +115,13 @@ class Resource:
         self._dispatch()
 
     # -- internals -------------------------------------------------------
+    def _cancel(self, request: _Request) -> None:
+        """Drop a queued request (a no-op for one this resource lacks)."""
+        try:
+            self.queue.remove(request)
+        except ValueError:
+            pass
+
     def _grant(self, req: _Request) -> None:
         """Grant a queued request, accounting how long it waited."""
         self.users.append(req)
@@ -133,33 +136,34 @@ class Resource:
         return f"<Resource {self.count}/{self.capacity} used, {self.queued} queued>"
 
 
-class _PriorityRequest(_Request):
-    __slots__ = ("priority", "seq")
-
-    def __init__(self, resource: "PriorityResource", priority: float, seq: int):
-        _Request.__init__(self, resource)
-        self.priority = priority
-        self.seq = seq
-
-    def __lt__(self, other: "_PriorityRequest") -> bool:
-        return (self.priority, self.seq) < (other.priority, other.seq)
-
-
 class PriorityResource(Resource):
-    """A :class:`Resource` whose queue is ordered by request priority."""
+    """A :class:`Resource` with two request classes, FIFO within each:
+    demand (priority 0) is always served before prefetch
+    (``PREFETCH``)."""
+
+    #: priority of prefetch/movement requests (``BandwidthPipe.PREFETCH``)
+    PREFETCH = 1
 
     def __init__(self, env: Environment, capacity: int = 1):
         super().__init__(env, capacity)
-        self._heap: list[_PriorityRequest] = []
-        self._seq = 0
+        #: queued prefetch requests (``queue`` holds the demand ones)
+        self.prefetch: deque[_Request] = deque()
 
     @property
     def queued(self) -> int:
-        return len(self._heap)
+        return len(self.queue) + len(self.prefetch)
 
-    def request(self, priority: float = 0.0) -> _PriorityRequest:  # type: ignore[override]
-        self._seq += 1
-        req = _PriorityRequest(self, priority, self._seq)
+    def request(self, priority: int = 0) -> _Request:  # type: ignore[override]
+        if priority == 0:
+            queue = self.queue
+        elif priority == self.PREFETCH:
+            queue = self.prefetch
+        else:
+            raise ValueError(
+                f"priority must be 0 (demand) or {self.PREFETCH} (prefetch), "
+                f"got {priority!r}"
+            )
+        req = _Request(self)
         self.total_requests += 1
         users = self.users
         if len(users) < self.capacity:
@@ -170,25 +174,24 @@ class PriorityResource(Resource):
             env._eid = eid = env._eid + 1
             heappush(env._queue, (env._now, NORMAL, eid, req))
         else:
-            heapq.heappush(self._heap, req)
+            queue.append(req)
         return req
 
-    def release(self, request: _Request) -> None:  # type: ignore[override]
+    def _cancel(self, request: _Request) -> None:
         try:
-            self.users.remove(request)
+            self.prefetch.remove(request)
         except ValueError:
-            try:
-                self._heap.remove(request)  # type: ignore[arg-type]
-                heapq.heapify(self._heap)
-            except ValueError:
-                pass
-            return
-        request._value = None  # no self-reference left (see Resource.release)
-        self._dispatch()
+            Resource._cancel(self, request)
 
     def _dispatch(self) -> None:
-        while self._heap and len(self.users) < self.capacity:
-            self._grant(heapq.heappop(self._heap))
+        demand, prefetch = self.queue, self.prefetch
+        while len(self.users) < self.capacity:
+            if demand:
+                self._grant(demand.popleft())
+            elif prefetch:
+                self._grant(prefetch.popleft())
+            else:
+                break
 
 
 class _StorePut(Event):

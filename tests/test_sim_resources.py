@@ -93,7 +93,7 @@ def test_resource_wait_time_accounting():
 
 
 # ---------------------------------------------------------- PriorityResource
-def test_priority_resource_serves_lowest_priority_first():
+def test_priority_resource_serves_demand_before_prefetch():
     env = Environment()
     res = PriorityResource(env, capacity=1)
     order = []
@@ -107,10 +107,21 @@ def test_priority_resource_serves_lowest_priority_first():
         res.release(req)
 
     env.process(worker(env, "holder", 0, 0))
-    env.process(worker(env, "low", 5, 0.1))
-    env.process(worker(env, "high", 1, 0.2))
+    env.process(worker(env, "prefetch-1", PriorityResource.PREFETCH, 0.1))
+    env.process(worker(env, "demand-1", 0, 0.2))
+    env.process(worker(env, "prefetch-2", PriorityResource.PREFETCH, 0.3))
+    env.process(worker(env, "demand-2", 0, 0.4))
     env.run()
-    assert order == ["holder", "high", "low"]
+    assert order == ["holder", "demand-1", "demand-2", "prefetch-1", "prefetch-2"]
+
+
+@pytest.mark.parametrize("priority", [-1, 2, 5, 0.5])
+def test_priority_resource_rejects_other_priorities(priority):
+    env = Environment()
+    res = PriorityResource(env, capacity=1)
+    with pytest.raises(ValueError):
+        res.request(priority=priority)
+    assert res.total_requests == 0 and res.count == 0
 
 
 def test_priority_resource_fifo_within_priority():
