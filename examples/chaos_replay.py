@@ -92,7 +92,7 @@ def main() -> None:
     print(
         f"\nfaults injected: {result.faults}"
         f"\ndemand-fetch fallbacks: "
-        f"{runner.prefetcher.server.metrics()['io.demand_fallbacks']}"
+        f"{runner.prefetcher.server.metrics()['io.moves_failed']}"
     )
 
 

@@ -62,28 +62,19 @@ class FileSegmentAuditor:
         self.scoring_model: ScoringModel = get_scoring_model(config.scoring_model)
         # epoch refcounts: file_id -> number of concurrent read-openers
         self._epochs: dict[str, int] = {}
-        self._epoch_serial: dict[str, int] = {}
-        # sequencing: last segment accessed per (file, accessor stream).
-        # The *scores* are global (data-centric), but predecessor links
-        # must follow each process's own stream — interleaving thousands
-        # of ranks into one chain would corrupt the logical map of
-        # connected segments the engine walks for lookahead.
-        self._last_segment: dict[tuple[str, int], int] = {}
-        # Per-file indexes (ordered de-dup dicts) so write invalidation
-        # and epoch teardown touch only the written file's records
-        # instead of scanning every key in the map / every stream.
-        self._file_keys: dict[str, dict[int, None]] = {}
-        self._file_streams: dict[str, dict[tuple[str, int], None]] = {}
+        # sequencing: last segment accessed per file, then per accessor
+        # stream (pid).  The *scores* are global (data-centric), but
+        # successor links must follow each process's own stream —
+        # interleaving thousands of ranks into one chain would corrupt
+        # the logical map of connected segments the engine walks for
+        # lookahead.  Epoch teardown and invalidation drop a file's entry.
+        self._last_segment: dict[str, dict[int, int]] = {}
         # dirty vector (ordered de-dup) for the placement engine
         self._dirty: dict[int, None] = {}
         # segment home node: node of the first accessor
         self._home_node: dict[int, int] = {}
         # last content version seen per file (the stat-on-open check)
         self._seen_version: dict[str, int] = {}
-        # fold geometry per file: (file, segment_size, last id,
-        # last_nbytes), valid while the file system still holds that very
-        # record (a removed or re-created file fails the identity check)
-        self._geometry: dict[str, tuple] = {}
         # listeners told how many score updates each fold made (the
         # engine's count trigger)
         self._update_listeners: list[Callable[[int], None]] = []
@@ -122,7 +113,6 @@ class FileSegmentAuditor:
         first = self._epochs.get(file_id, 0) == 0
         self._epochs[file_id] = self._epochs.get(file_id, 0) + 1
         if first:
-            self._epoch_serial[file_id] = self._epoch_serial.get(file_id, 0) + 1
             # stat-on-open: a write that happened while the file was
             # unwatched (no epoch, so no inotify events) must still
             # invalidate any stale prefetched copies
@@ -141,8 +131,7 @@ class FileSegmentAuditor:
         count = self._epochs.get(file_id, 0)
         if count <= 1:
             self._epochs.pop(file_id, None)
-            for stream in self._file_streams.pop(file_id, ()):
-                self._last_segment.pop(stream, None)
+            self._last_segment.pop(file_id, None)
             if self.fs.exists(file_id):
                 self.heatmaps.save(self.build_heatmap(file_id, now))
             return True
@@ -202,14 +191,12 @@ class FileSegmentAuditor:
         score updates the call made.
 
         Since the daemons call it once per event, the fixed cost of a
-        call is kept small: a file's segment geometry is kept across
-        calls (see ``_geometry``) and only the state the read path uses
-        is bound up front.
+        call is kept small: only the state the read path uses is bound
+        up front.
 
         Returns the number of events folded.
         """
         lookup = self.fs.lookup
-        geometry = self._geometry
         stats_map = self.stats_map
         nshards = stats_map.shards
         shard_of = stats_map.shard_of
@@ -219,7 +206,6 @@ class FileSegmentAuditor:
         dirty_cap = DIRTY_VECTOR_CAPACITY
         last_segment = self._last_segment
         home_node = self._home_node
-        file_streams = self._file_streams
         flows = self._flows
         fold_mark = self._fold_mark
         processed = 0
@@ -238,27 +224,14 @@ class FileSegmentAuditor:
                 f = lookup(fid)
                 if f is None:
                     continue
-                info = geometry.get(fid)
-                if info is None or info[0] is not f:
-                    last_id = f.base + f.num_segments - 1
-                    info = geometry[fid] = (
-                        f,
-                        f.segment_size,
-                        last_id,
-                        f.segment_bytes(last_id) if last_id >= f.base else 0,
-                    )
-                _, seg_size, last_id, last_nbytes = info
                 keys = f.read_segments(event.offset, event.size)
                 if not keys:
                     continue
-                stream = (fid, event.pid)
-                prev = last_segment.get(stream)
-                if prev is None:
-                    # a new stream of this file (a known one is indexed)
-                    fstreams = file_streams.get(fid)
-                    if fstreams is None:
-                        file_streams[fid] = fstreams = {}
-                    fstreams[stream] = None
+                streams = last_segment.get(fid)
+                if streams is None:
+                    last_segment[fid] = streams = {}
+                pid = event.pid
+                prev = streams.get(pid)
                 when = event.timestamp
                 node = event.node
                 node_shard = node % nshards
@@ -269,16 +242,9 @@ class FileSegmentAuditor:
                     shard = local_shard(sid)
                     stats = shard.get(key)
                     if stats is None:
-                        stats = SegmentStats(
-                            key=key,
-                            nbytes=seg_size if key < last_id else last_nbytes,
-                        )
+                        stats = SegmentStats(key=key, nbytes=f.segment_bytes(key))
                         shard[key] = stats
-                        fkeys = self._file_keys.get(fid)
-                        if fkeys is None:
-                            self._file_keys[fid] = fkeys = {}
-                        fkeys[key] = None
-                    stats.record(when, prev)
+                    stats.record(when)
                     n_updates += 1
                     if node_shard == sid:
                         n_local += 1
@@ -314,7 +280,7 @@ class FileSegmentAuditor:
                         dirty_dropped += 1
                     score_updates += 1
                     prev = key
-                last_segment[stream] = prev
+                streams[pid] = prev
                 if fold_mark is not None:
                     fold_mark((self._tel_env.now, event.eid, len(keys)))
             elif etype is _WRITE:
@@ -343,16 +309,16 @@ class FileSegmentAuditor:
     def _invalidate(self, file_id: str) -> None:
         self.invalidations += 1
         # Drop statistics of the written file — its content changed.  The
-        # per-file key index makes this O(segments-of-the-file) instead of
-        # a scan over every key of every file in the map.
-        for key in self._file_keys.pop(file_id, ()):
-            self.stats_map.delete(key)
-        for stream in self._file_streams.pop(file_id, ()):
-            self._last_segment.pop(stream, None)
-        ids = self.fs.ids_of(file_id)
-        stale = [k for k in self._dirty if k in ids]
-        for k in stale:
-            del self._dirty[k]
+        # walk covers the file's current id range only, so it costs
+        # O(segments-of-the-file) whatever else the map and the dirty
+        # vector hold.  The uncharged membership test leaves one charged
+        # ``delete`` per record that exists.
+        stats_map, dirty = self.stats_map, self._dirty
+        for key in self.fs.ids_of(file_id):
+            if key in stats_map:
+                stats_map.delete(key)
+            dirty.pop(key, None)
+        self._last_segment.pop(file_id, None)
         if self.invalidate_hook is not None:
             self.invalidate_hook(file_id)
 

@@ -95,9 +95,9 @@ class IOClientPool:
         self.moves_completed = 0
         self.bytes_moved = 0
         self.move_time = 0.0
+        #: terminal failures, each a demand-fetch fallback
         self.moves_failed = 0
         self.move_retries = 0
-        self.demand_fallbacks = 0
         # telemetry and its event log (None in normal runs: zero overhead)
         self.telemetry = None
         self._move_marks: dict[str, Callable] = {}
@@ -271,7 +271,6 @@ class IOClientPool:
             self.submit(replace(ins, src_name=src_name, retries=ins.retries + 1))
             return
         self.moves_failed += 1
-        self.demand_fallbacks += 1
         if self.in_flight.get(ins.key) == ins.src_name:
             self.in_flight.pop(ins.key, None)
         prov = self._prov

@@ -455,9 +455,10 @@ class PlacementEngine:
 
     # -- invalidation (write events, §III-B) --------------------------------------
     def invalidate_file(self, file_id: str) -> int:
-        """Evict every cached segment of a rewritten file."""
-        ids = self.auditor.fs.ids_of(file_id)
-        victims = [k for k in self._scores if k in ids]
+        """Evict every cached segment of a rewritten file (its current id
+        range, in id order)."""
+        scores = self._scores
+        victims = [k for k in self.auditor.fs.ids_of(file_id) if k in scores]
         for key in victims:
             self._evict(key, cause="invalidated")
         return len(victims)

@@ -160,7 +160,6 @@ class HFetchServer:
             "io.bytes_moved": io.bytes_moved,
             "io.moves_failed": io.moves_failed,
             "io.move_retries": io.move_retries,
-            "io.demand_fallbacks": io.demand_fallbacks,
             "hierarchy.placements": hier.placements,
             "hierarchy.evictions": hier.evictions,
             "hierarchy.promotions": hier.promotions,

@@ -1,9 +1,9 @@
 """Per-segment access statistics.
 
 For every file segment the auditor maintains (paper §III-A.2): its
-access *frequency*, when it was *last accessed*, and which segment
-access *preceded* it (segment sequencing).  These records live in the
-distributed hash map and are updated atomically per observed event.
+access *frequency*, when it was *last accessed*, and which segments
+were read right after it (segment sequencing).  These records live in
+the distributed hash map and are updated atomically per observed event.
 """
 
 from __future__ import annotations
@@ -14,7 +14,10 @@ from typing import Optional
 
 from repro.core.scoring import segment_score
 
-__all__ = ["SegmentStats"]
+__all__ = ["MAX_HISTORY", "SegmentStats"]
+
+#: Depth of a record's timestamp window (the ``k`` of Eq. 1).
+MAX_HISTORY = 16
 
 
 @dataclass
@@ -32,18 +35,16 @@ class SegmentStats:
         Total reference count ``n`` since the record was created — feeds
         Eq. 1's decay exponent.
     times:
-        Ring of the most recent access timestamps (the ``k`` window of
-        Eq. 1; older accesses age out of the window but remain counted
-        in ``refs``).
+        Ring of the :data:`MAX_HISTORY` most recent access timestamps
+        (the ``k`` window of Eq. 1; older accesses age out of the window
+        but remain counted in ``refs``).
     last_access:
         Timestamp of the most recent access (recency).
-    prev:
-        Id of the segment whose access preceded this one within the
-        same file — the sequencing link that gives HFetch "a logical map
-        of which segments are connected to one another".
     successors:
-        Observed follow-on counts ``{next_segment: times}`` — the forward
-        view of the sequencing chain, used for pipelined lookahead.
+        Observed follow-on counts ``{next_segment: times}`` within one
+        reader's stream — the sequencing links that give HFetch "a
+        logical map of which segments are connected to one another",
+        used for pipelined lookahead.
     best_successor:
         The most frequently observed follow-on segment (the first one
         observed among equal counts), kept current by
@@ -52,21 +53,17 @@ class SegmentStats:
 
     key: int
     nbytes: int
-    max_history: int = 16
     refs: int = 0
-    times: deque = field(default_factory=deque)
+    times: deque = field(default_factory=lambda: deque(maxlen=MAX_HISTORY))
     last_access: float = float("-inf")
-    prev: Optional[int] = None
     successors: dict = field(default_factory=dict)
     best_successor: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_history < 1:
-            raise ValueError("max_history must be >= 1")
         if self.nbytes < 0:
             raise ValueError("segment size must be non-negative")
 
-    def record(self, now: float, prev: Optional[int] = None) -> None:
+    def record(self, now: float) -> None:
         """Register one access at time ``now`` (monotonic per segment)."""
         if now < self.last_access:
             # Events can arrive slightly out of order through the queue;
@@ -74,11 +71,7 @@ class SegmentStats:
             now = self.last_access
         self.refs += 1
         self.times.append(now)
-        while len(self.times) > self.max_history:
-            self.times.popleft()
         self.last_access = now
-        if prev is not None and prev != self.key:
-            self.prev = prev
 
     def link_successor(self, nxt: int) -> None:
         """Record that ``nxt`` was accessed right after this segment."""
@@ -96,10 +89,6 @@ class SegmentStats:
             # a tie goes to the first-inserted id, as ``max`` breaks it
             self.best_successor = max(successors.items(), key=lambda kv: kv[1])[0]
 
-    def most_likely_successor(self) -> Optional[int]:
-        """The most frequently observed follow-on segment, if any."""
-        return self.best_successor
-
     def score(self, now: float, p: float = 2.0) -> float:
         """Eq. 1 score at time ``now``."""
         if self.refs == 0:
@@ -113,5 +102,5 @@ class SegmentStats:
     def __repr__(self) -> str:  # pragma: no cover
         return (
             f"<SegmentStats {self.key} refs={self.refs} "
-            f"last={self.last_access:g} prev={self.prev}>"
+            f"last={self.last_access:g} next={self.best_successor}>"
         )

@@ -48,10 +48,10 @@ from repro.diagnosis.provenance import ReadIndex
 __all__ = ["analyze_oracle"]
 
 
-def _ceiling_hits(reads, prefix_caps: list[int]) -> list[float]:
+def _ceiling_hits(reads: ReadIndex, prefix_caps: list[int]) -> list[float]:
     """Fractional-clairvoyant hit count per cumulative tier prefix.
 
-    ``reads`` is a :class:`ReadIndex` or a list of its rows.  An instant
+    An instant
     is a run of reads at one virtual time; only its reads with an origin
     below tier 0 count.  Each instant's greedy runs for all instants at
     once: its unique segments (multiplicity, bytes and origin from their
@@ -64,8 +64,6 @@ def _ceiling_hits(reads, prefix_caps: list[int]) -> list[float]:
     ``np.add.accumulate``, which adds strictly left to right as a
     ``+=`` loop does (``np.sum`` and ``sum()`` round differently).
     """
-    if not isinstance(reads, ReadIndex):
-        reads = ReadIndex.from_rows(reads)
     n_tiers = len(prefix_caps)
     eligible = np.flatnonzero(reads.origin >= 1)
     if not len(eligible):
@@ -121,15 +119,10 @@ def _ceiling_hits(reads, prefix_caps: list[int]) -> list[float]:
     return np.add.accumulate(got, axis=0)[-1].tolist()
 
 
-def _belady_hits(reads, capacity: int) -> int:
-    """Classic demand-fetch Belady (MIN) hits on a pooled cache.
-
-    ``reads`` is a :class:`ReadIndex` or a list of its rows.
-    """
+def _belady_hits(reads: ReadIndex, capacity: int) -> int:
+    """Classic demand-fetch Belady (MIN) hits on a pooled cache."""
     if capacity <= 0:
         return 0
-    if not isinstance(reads, ReadIndex):
-        reads = ReadIndex.from_rows(reads)
     sids = reads.sid
     sizes = reads.nbytes.tolist()
     order = np.flatnonzero(reads.origin >= 1).tolist()

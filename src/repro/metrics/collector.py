@@ -76,7 +76,6 @@ class MetricsCollector:
         self.hits = 0
         self.misses = 0
         self.bytes_read = 0
-        self.bytes_written = 0
         self.read_time = 0.0
         self.tier_hits: dict[str, int] = defaultdict(int)
         self.tier_misses: dict[str, int] = defaultdict(int)

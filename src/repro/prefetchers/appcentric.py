@@ -7,8 +7,7 @@ several applications reading the same dataset this produces exactly the
 pathologies of §II-B:
 
 * **cache redundancy** — two applications prefetch the same segment into
-  their separate partitions, wasting capacity (counted in
-  :attr:`AppCentricPrefetcher.redundant_prefetches`);
+  their separate partitions, wasting capacity;
 * **cache pollution / unnecessary evictions** — an application's own
   aggressive read-ahead evicts its still-useful data from its small
   share;
@@ -120,8 +119,6 @@ class AppCentricPrefetcher(Prefetcher):
         self._partitions: dict[str, _AppPartition] = {}
         self._detectors: dict[tuple[int, str], _StreamDetector] = {}
         self._app_of_pid: dict[int, str] = {}
-        self._request_size: dict[tuple[int, str], int] = {}
-        self.redundant_prefetches = 0
 
     # -- lifecycle ------------------------------------------------------------
     def on_workload(self, workload: WorkloadSpec) -> None:
@@ -172,7 +169,6 @@ class AppCentricPrefetcher(Prefetcher):
             self._insert_demand(part, key)
         detector = self._detectors.setdefault((pid, file_id), _StreamDetector())
         detector.observe(offset)
-        self._request_size[(pid, file_id)] = size
         stride = detector.predict_stride()
         if stride is None:
             return  # repetitive/irregular: the detector is blind
@@ -210,11 +206,6 @@ class AppCentricPrefetcher(Prefetcher):
         assert self.ctx is not None
         if part.known(key):
             return
-        # redundancy: another application already holds this segment
-        for other in self._partitions.values():
-            if other is not part and other.known(key):
-                self.redundant_prefetches += 1
-                break
         pool = part.pick_pool(self.ctx.segment_bytes(key))
         if pool is not None:
             self._start_fetch(pool, key)

@@ -214,7 +214,6 @@ class WorkflowRunner:
         yield from origin.write(op.size)
         if ctx.fs.exists(op.file_id):
             ctx.fs.touch_write(op.file_id)
-        self.metrics.bytes_written += op.size
         self.prefetcher.on_write(spec.pid, node, op.file_id, op.offset, op.size)
 
     def _app_watcher(self, app_name: str) -> Generator:

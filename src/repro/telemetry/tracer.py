@@ -166,6 +166,9 @@ class SpanTracer:
         # materialised-Span cache, invalidated by record-count change
         self._spans: list[Span] = []
         self._cache_key: tuple = (0, 0)
+        # the last flow-start map built by :meth:`flow_latencies`, with
+        # the stage name and record counts it was built from
+        self._starts: Optional[tuple] = None
         self.dropped = 0
         #: virtual time the retention cap froze the trace (None: never)
         self.frozen_at: Optional[float] = None
@@ -262,6 +265,7 @@ class SpanTracer:
                 self.dropped += excess
             s.limit = len(buf)
         self._cache_key = None  # record counts alone no longer identify the cache
+        self._starts = None
 
     # -- cold-site spans ---------------------------------------------------
     def begin(self, name: str, track: str = "sim", cat: str = "sim", **args: Any) -> Span:
@@ -364,8 +368,13 @@ class SpanTracer:
 
         Reads just the two stage names' record columns, so end-of-run
         folds (queue dwell, headline percentiles) cost microseconds.
+        Every such fold starts at ``fs.emit``, so the start stage's map
+        is kept and rebuilt only when its name or record counts change.
         """
-        starts = self._flow_firsts(start_name)
+        mark = (start_name, [len(s.buf) for s in self.named(start_name)])
+        if self._starts is None or self._starts[0] != mark:
+            self._starts = (mark, self._flow_firsts(start_name))
+        starts = self._starts[1]
         out: dict = {}
         if not starts:
             return out

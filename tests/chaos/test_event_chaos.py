@@ -112,7 +112,6 @@ class TestPrefetchIOErrors:
         # each became a terminal demand-fetch fallback
         assert pool.moves_completed == 0
         assert pool.moves_failed > 0
-        assert pool.demand_fallbacks == pool.moves_failed
         assert pool.move_retries > 0
         assert result.faults.get("prefetch_error", 0) > 0
         assert result.faults.get("prefetch_io_error", 0) > 0

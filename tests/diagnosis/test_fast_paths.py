@@ -16,6 +16,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from repro.diagnosis.drift import kendall_tau  # noqa: E402
 from repro.diagnosis.oracle import _belady_hits, _ceiling_hits  # noqa: E402
+from repro.diagnosis.provenance import ReadIndex  # noqa: E402
 
 MB = 1 << 20
 
@@ -216,20 +217,23 @@ def cumulative(caps):
 @given(read_sequences(), CAPS)
 def test_ceiling_hits_match_the_groupby_loop(reads, caps):
     prefix_caps = cumulative(caps)
-    assert _ceiling_hits(reads, prefix_caps) == reference_ceiling_hits(reads, prefix_caps)
+    index = ReadIndex.from_rows(reads)
+    assert _ceiling_hits(index, prefix_caps) == reference_ceiling_hits(reads, prefix_caps)
 
 
 @settings(max_examples=400, deadline=None)
 @given(read_sequences(), st.sampled_from([0, 1, MB // 2, MB, 2 * MB, 3 * MB, 7 * MB]))
 def test_belady_hits_match_the_cursor_walk(reads, capacity):
-    assert _belady_hits(reads, capacity) == reference_belady_hits(reads, capacity)
+    index = ReadIndex.from_rows(reads)
+    assert _belady_hits(index, capacity) == reference_belady_hits(reads, capacity)
 
 
 def test_ceiling_fast_path_keeps_the_left_to_right_sum():
     # 0.1-sized fractions: a pairwise or compensated sum would round
     # differently from the reference's left-to-right +=
     reads = [(float(k), k, 1, 1, 10 * MB, False) for k in range(1000)]
-    assert _ceiling_hits(reads, [MB]) == reference_ceiling_hits(reads, [MB])
+    index = ReadIndex.from_rows(reads)
+    assert _ceiling_hits(index, [MB]) == reference_ceiling_hits(reads, [MB])
     assert reference_ceiling_hits(reads, [MB]) != [math.fsum([0.1] * 1000)]
 
 

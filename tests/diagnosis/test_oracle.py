@@ -3,6 +3,7 @@ ceiling is >= the actual hit ratio on *every* cumulative tier prefix,
 on both paper workloads — plus unit checks of the two bounds."""
 
 from repro.diagnosis.oracle import _belady_hits, _ceiling_hits
+from repro.diagnosis.provenance import ReadIndex
 
 from .conftest import MB, montage_small, run_diagnosed, wrf_small
 
@@ -48,7 +49,7 @@ def test_ceiling_limits_concurrent_reads_to_capacity():
         (1.0, 0, 2, 2, MB, False),
         (1.0, 1, 2, 2, MB, False),
     ]
-    hits = _ceiling_hits(reads, prefix_caps=[MB, 4 * MB])
+    hits = _ceiling_hits(ReadIndex.from_rows(reads), prefix_caps=[MB, 4 * MB])
     assert hits[0] == 1.0  # one segment fits the 1MB prefix
     assert hits[1] == 2.0  # both fit the 4MB prefix
 
@@ -60,7 +61,7 @@ def test_ceiling_pool_stops_below_the_origin():
         (1.0, 0, 1, 1, MB, False),
         (1.0, 1, 1, 1, MB, False),
     ]
-    hits = _ceiling_hits(reads, prefix_caps=[MB, 4 * MB])
+    hits = _ceiling_hits(ReadIndex.from_rows(reads), prefix_caps=[MB, 4 * MB])
     assert hits == [1.0, 1.0]
 
 
@@ -72,19 +73,19 @@ def test_ceiling_prefers_shared_segments():
         (1.0, 0, 1, 1, MB, False),
         (1.0, 1, 1, 1, MB, False),
     ]
-    hits = _ceiling_hits(reads, prefix_caps=[MB])
+    hits = _ceiling_hits(ReadIndex.from_rows(reads), prefix_caps=[MB])
     assert hits[0] == 3.0  # the shared segment wins the knapsack
 
 
 def test_ceiling_ignores_tier0_origin_reads():
     # a segment whose origin is already the fastest tier can never hit
     reads = [(1.0, 0, 0, 0, MB, False)]
-    assert _ceiling_hits(reads, prefix_caps=[MB]) == [0.0]
+    assert _ceiling_hits(ReadIndex.from_rows(reads), prefix_caps=[MB]) == [0.0]
 
 
 def test_ceiling_is_fractional_for_oversized_segments():
     reads = [(1.0, 0, 1, 1, 2 * MB, False)]
-    hits = _ceiling_hits(reads, prefix_caps=[MB])
+    hits = _ceiling_hits(ReadIndex.from_rows(reads), prefix_caps=[MB])
     assert hits == [0.5]
 
 
@@ -96,8 +97,8 @@ def test_belady_counts_reuse_within_capacity():
         (2.0, 1, 1, 1, MB, False),
         (3.0, 0, 1, 1, MB, False),
     ]
-    assert _belady_hits(reads, capacity=2 * MB) == 1
-    assert _belady_hits(reads, capacity=0) == 0
+    assert _belady_hits(ReadIndex.from_rows(reads), capacity=2 * MB) == 1
+    assert _belady_hits(ReadIndex.from_rows(reads), capacity=0) == 0
 
 
 def test_belady_evicts_farthest_next_use():
@@ -110,7 +111,7 @@ def test_belady_evicts_farthest_next_use():
     ]
     # sid 1's insert at t=2 is bypassed (sid 0 needed sooner), so sid 0
     # hits at t=3; sid 1 misses both times
-    assert _belady_hits(reads, capacity=MB) == 1
+    assert _belady_hits(ReadIndex.from_rows(reads), capacity=MB) == 1
 
 
 def test_oracle_reports_belady_context():

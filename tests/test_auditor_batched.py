@@ -77,16 +77,14 @@ def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
         return
     f = auditor.fs.get(event.file_id)
     dhm = auditor.stats_map
-    stream = (event.file_id, event.pid)
-    prev = auditor._last_segment.get(stream)
+    prev = auditor._last_segment.get(event.file_id, {}).get(event.pid)
     keys = f.read_segments(event.offset, event.size)
     for key in keys:
 
-        def record(stats, key=key, prev=prev):
+        def record(stats, key=key):
             if stats is None:
                 stats = SegmentStats(key=key, nbytes=f.segment_bytes(key))
-                auditor._file_keys.setdefault(event.file_id, {})[key] = None
-            stats.record(event.timestamp, prev)
+            stats.record(event.timestamp)
             return stats
 
         def link(stats, key=key):
@@ -105,8 +103,7 @@ def reference_fold(auditor: FileSegmentAuditor, event: FileEvent) -> None:
         auditor.score_updates += 1
         prev = key
     if keys:
-        auditor._last_segment[stream] = keys[-1]
-        auditor._file_streams.setdefault(event.file_id, {})[stream] = None
+        auditor._last_segment.setdefault(event.file_id, {})[event.pid] = keys[-1]
 
 
 def fold_reference(auditor: FileSegmentAuditor, events) -> None:
@@ -127,7 +124,6 @@ def stats_state(auditor: FileSegmentAuditor) -> dict:
             stats.refs,
             list(stats.times),
             stats.last_access,
-            stats.prev,
             dict(stats.successors),
             stats.nbytes,
         )
@@ -234,7 +230,7 @@ def test_write_invalidation_ordering_within_batch():
     assert s is not None and s.refs == 1 and list(s.times) == [0.3]
     assert batched.stats_of(a(1)) is None
     # predecessor chain was reset by the invalidation
-    assert batched._last_segment[("/a", 1)] == a(0)
+    assert batched._last_segment["/a"][1] == a(0)
 
 
 def test_cross_stream_sequencing_in_batch():
@@ -253,8 +249,7 @@ def test_cross_stream_sequencing_in_batch():
     s10 = auditor.stats_of(a(10))
     assert s0.successors == {a(1): 1}
     assert s10.successors == {a(11): 1}
-    assert auditor._last_segment[("/a", 1)] == a(1)
-    assert auditor._last_segment[("/a", 2)] == a(11)
+    assert auditor._last_segment["/a"] == {1: a(1), 2: a(11)}
 
 
 def test_on_events_notifies_listeners_once_with_final_count():

@@ -50,15 +50,15 @@ def test_sequencing_follows_per_process_stream():
     aud.on_event(read_event(9 * MB, MB, t=1.3, pid=1))
     s0 = aud.stats_of(aud.fs.segment_id("/f", 0))
     s8 = aud.stats_of(aud.fs.segment_id("/f", 8))
-    assert s0.most_likely_successor() == aud.fs.segment_id("/f", 1)
-    assert s8.most_likely_successor() == aud.fs.segment_id("/f", 9)
+    assert s0.best_successor == aud.fs.segment_id("/f", 1)
+    assert s8.best_successor == aud.fs.segment_id("/f", 9)
 
 
 def test_multi_segment_read_chains_internally():
     aud, _ = make_auditor()
     aud.on_event(read_event(0, 3 * MB, t=1.0))
-    assert aud.stats_of(aud.fs.segment_id("/f", 0)).most_likely_successor() == aud.fs.segment_id("/f", 1)
-    assert aud.stats_of(aud.fs.segment_id("/f", 1)).most_likely_successor() == aud.fs.segment_id("/f", 2)
+    assert aud.stats_of(aud.fs.segment_id("/f", 0)).best_successor == aud.fs.segment_id("/f", 1)
+    assert aud.stats_of(aud.fs.segment_id("/f", 1)).best_successor == aud.fs.segment_id("/f", 2)
 
 
 def test_dirty_vector_drains_once():
@@ -128,7 +128,7 @@ def test_unknown_file_events_ignored():
 
 
 def test_fold_geometry_follows_a_removed_and_recreated_file():
-    """The per-file geometry kept across folds is never served stale."""
+    """A new record takes its size from the live file record."""
     aud, fs = make_auditor()
     fs.create("/g", 4 * MB)
     aud.on_event(read_event(3 * MB, MB, fid="/g"))

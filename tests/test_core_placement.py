@@ -322,7 +322,7 @@ def reference_candidates(
         for _hop in range(config.lookahead_depth):
             value *= discount
             stats = auditor.stats_map.get(current)
-            nxt = stats.most_likely_successor() if stats is not None else None
+            nxt = stats.best_successor if stats is not None else None
             if nxt is None:
                 try:
                     file_id, index = auditor.fs.segment_key(current)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.heatmap import FileHeatmap, HeatmapStore
-from repro.core.stats import SegmentStats
+from repro.core.stats import MAX_HISTORY, SegmentStats
 from repro.storage.segments import SegmentKey
 
 
-def mk(key="f", idx=0, nbytes=1 << 20, hist=16):
-    return SegmentStats(key=SegmentKey(key, idx), nbytes=nbytes, max_history=hist)
+def mk(key="f", idx=0, nbytes=1 << 20):
+    return SegmentStats(key=SegmentKey(key, idx), nbytes=nbytes)
 
 
 # ------------------------------------------------------------------- stats
@@ -25,11 +25,12 @@ def test_record_updates_frequency_and_recency():
 
 
 def test_history_window_caps_but_refs_keep_counting():
-    s = mk(hist=3)
-    for t in range(10):
+    s = mk()
+    n = MAX_HISTORY + 4
+    for t in range(n):
         s.record(float(t))
-    assert s.refs == 10
-    assert list(s.times) == [7.0, 8.0, 9.0]
+    assert s.refs == n
+    assert list(s.times) == [float(t) for t in range(4, n)]
 
 
 def test_out_of_order_timestamps_clamped():
@@ -39,32 +40,19 @@ def test_out_of_order_timestamps_clamped():
     assert s.last_access == 5.0
 
 
-def test_prev_sequencing_recorded():
-    s = mk(idx=3)
-    prev = SegmentKey("f", 2)
-    s.record(1.0, prev=prev)
-    assert s.prev == prev
-
-
-def test_self_prev_ignored():
-    s = mk(idx=3)
-    s.record(1.0, prev=SegmentKey("f", 3))
-    assert s.prev is None
-
-
 def test_successor_links_and_most_likely():
     s = mk(idx=0)
     nxt1, nxt2 = SegmentKey("f", 1), SegmentKey("f", 2)
     s.link_successor(nxt1)
     s.link_successor(nxt2)
     s.link_successor(nxt1)
-    assert s.most_likely_successor() == nxt1
+    assert s.best_successor == nxt1
     s.link_successor(s.key)  # self-link ignored
     assert s.key not in s.successors
 
 
 def test_most_likely_successor_none_without_history():
-    assert mk().most_likely_successor() is None
+    assert mk().best_successor is None
 
 
 @settings(max_examples=300, deadline=None)
@@ -79,7 +67,6 @@ def test_best_successor_tracks_the_max_scan(links):
             assert s.best_successor == max(s.successors.items(), key=lambda kv: kv[1])[0]
         else:
             assert s.best_successor is None
-    assert s.most_likely_successor() == s.best_successor
 
 
 def test_best_successor_tie_keeps_first_inserted():
@@ -113,8 +100,6 @@ def test_flat_rows_for_batch_scoring():
 def test_stats_validation():
     with pytest.raises(ValueError):
         SegmentStats(key=SegmentKey("f", 0), nbytes=-1)
-    with pytest.raises(ValueError):
-        SegmentStats(key=SegmentKey("f", 0), nbytes=1, max_history=0)
 
 
 # ----------------------------------------------------------------- heatmap

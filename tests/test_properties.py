@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.scoring import batch_scores, segment_score
-from repro.core.stats import SegmentStats
+from repro.core.stats import MAX_HISTORY, SegmentStats
 from repro.dhm.hashmap import DistributedHashMap
 from repro.dhm.partition import KeyPartitioner
 from repro.dhm.wal import WriteAheadLog
@@ -96,13 +96,13 @@ def test_batch_scores_agree_with_scalar(data, p):
         assert out[i] == pytest.approx(segment_score(times, n, now, p), rel=1e-9)
 
 
-@given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=30))
+@given(st.lists(st.floats(0, 100, allow_nan=False), min_size=1, max_size=3 * MAX_HISTORY))
 def test_stats_record_keeps_window_sorted_enough(times):
-    s = SegmentStats(key=SegmentKey("f", 0), nbytes=MB, max_history=8)
+    s = SegmentStats(key=SegmentKey("f", 0), nbytes=MB)
     for t in times:
         s.record(t)
     assert s.refs == len(times)
-    assert len(s.times) <= 8
+    assert len(s.times) == min(len(times), MAX_HISTORY)
     assert list(s.times) == sorted(s.times)  # clamping keeps it monotone
 
 

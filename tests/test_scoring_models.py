@@ -17,7 +17,7 @@ MB = 1 << 20
 
 
 def stats_with(times, refs=None):
-    s = SegmentStats(key=SegmentKey("f", 0), nbytes=MB, max_history=32)
+    s = SegmentStats(key=SegmentKey("f", 0), nbytes=MB)
     for t in times:
         s.record(t)
     if refs is not None:

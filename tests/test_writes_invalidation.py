@@ -77,7 +77,7 @@ def test_step_writes_counted_and_charged():
     cl = cluster(1)
     runner = WorkflowRunner(cl, wl, NoPrefetcher())
     result = runner.run()
-    assert runner.metrics.bytes_written == 2 * MB
+    assert cl.hierarchy.backing.bytes_written == 2 * MB
     assert cl.hierarchy.backing.writes == 1
 
 
@@ -187,9 +187,11 @@ def test_files_written_property():
 def test_invalidation_cost_independent_of_other_files():
     """Writing a small file must not scan the whole stats map.
 
-    The auditor keeps a per-file key index, so invalidating a 3-segment
-    file deletes exactly 3 records even with a 1000-segment neighbour in
-    the map — and never falls back to a full ``keys()`` scan.
+    The auditor walks only the written file's id range
+    (``FileSystemModel.ids_of``), so invalidating a 3-segment file
+    deletes exactly 3 records and 3 dirty-vector entries even with a
+    1000-segment neighbour in the map and the vector — and never falls
+    back to a full ``keys()`` scan.
     """
     from repro.core.auditor import FileSegmentAuditor
     from repro.events.types import EventType, FileEvent
@@ -222,3 +224,38 @@ def test_invalidation_cost_independent_of_other_files():
     drained = auditor.drain_dirty()
     assert len(drained) == 1000
     assert all(fs.file_id_of(k) == "/huge" for k in drained)
+
+
+def test_invalidation_of_a_file_recreated_larger_drops_its_current_range():
+    """A file removed and re-created with more segments gets a fresh id
+    range.  A write drops the records of that current range; those of
+    the old range stay in the map, uncharged.  No live file owns the old
+    ids any more, so no read reaches them again and nothing reads their
+    records."""
+    from repro.core.auditor import FileSegmentAuditor
+    from repro.events.types import EventType, FileEvent
+    from repro.storage.files import FileSystemModel
+
+    fs = FileSystemModel(default_segment_size=MB)
+    fs.create("/g", 2 * MB)
+    auditor = FileSegmentAuditor(HFetchConfig(), fs)
+    old = fs.ids_of("/g")
+    auditor.on_event(FileEvent(EventType.READ, "/g", offset=0, size=2 * MB, timestamp=0.1))
+    assert auditor.drain_dirty() == list(old)
+
+    fs.remove("/g")
+    fs.create("/g", 4 * MB)
+    new = fs.ids_of("/g")
+    assert new.start >= old.stop  # a fresh range, after the old one
+    auditor.on_event(FileEvent(EventType.READ, "/g", offset=0, size=4 * MB, timestamp=0.2))
+    assert len(auditor.stats_map) == len(old) + len(new)
+
+    deletes_before = auditor.stats_map.deletes
+    auditor.on_event(FileEvent(EventType.WRITE, "/g", timestamp=0.3))
+    # the current range is gone from the map and the dirty vector ...
+    assert all(auditor.stats_of(k) is None for k in new)
+    assert auditor.pending_updates == 0
+    assert auditor.stats_map.deletes - deletes_before == len(new)
+    # ... and the old range's records are left as they were
+    assert all(auditor.stats_of(k).refs == 1 for k in old)
+    assert all(fs.file_of(k) is None for k in old)
