@@ -312,10 +312,14 @@ class FileSegmentAuditor:
         # walk covers the file's current id range only, so it costs
         # O(segments-of-the-file) whatever else the map and the dirty
         # vector hold.  The uncharged membership test leaves one charged
-        # ``delete`` per record that exists.
+        # ``delete`` per record that exists.  A down shard of a map with
+        # no WAL cannot tell: its records are out of sight until recovery,
+        # so every id on it is deleted (tombstoned) unconditionally.
         stats_map, dirty = self.stats_map, self._dirty
+        blind = stats_map.down_shards if stats_map.wal is None else ()
+        shard_of = stats_map.shard_of
         for key in self.fs.ids_of(file_id):
-            if key in stats_map:
+            if key in stats_map or (blind and shard_of(key) in blind):
                 stats_map.delete(key)
             dirty.pop(key, None)
         self._last_segment.pop(file_id, None)

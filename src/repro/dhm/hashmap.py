@@ -275,7 +275,12 @@ class DistributedHashMap:
         return new_value
 
     def delete(self, key: Hashable, from_shard: Optional[int] = None) -> bool:
-        """Remove ``key``; True when it existed."""
+        """Remove ``key``; True when it existed.
+
+        On a down shard the delete always leaves a tombstone: without a
+        WAL the staged overlay cannot see the shard's records, so a key
+        it misses may still live there and would come back on recovery.
+        """
         self.deletes += 1
         shard = self._charge(key, from_shard)
         existed = key in shard
@@ -283,6 +288,8 @@ class DistributedHashMap:
             del shard[key]
             if self.wal is not None:
                 self.wal.log_delete(key)
+        elif shard.__class__ is _ShardOverlay:
+            del shard[key]
         return existed
 
     def contains(self, key: Hashable, from_shard: Optional[int] = None) -> bool:

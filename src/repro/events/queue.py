@@ -40,7 +40,7 @@ class EventQueue:
             raise ValueError(f"queue capacity must be >= 1, got {capacity}")
         self.env = env
         self.capacity = capacity
-        self._store = Store(env, capacity=capacity)
+        self._store = Store(env)
         #: optional chaos filter (:class:`repro.faults.injector.EventChaos`)
         #: mapping each offered event to the list actually enqueued; None
         #: in normal runs (zero overhead)
@@ -95,7 +95,7 @@ class EventQueue:
                 if eid is not None:
                     mark((self.env.now, eid))
             return False
-        store.offer(event)  # never full under the level check
+        store.offer(event)
         self.produced += 1
         if self._first_push is None:
             self._first_push = self.env.now

@@ -11,9 +11,10 @@ SimPy, built from scratch so the repository is self-contained:
 * :class:`~repro.sim.core.Process` — generator-based coroutines; every
   simulated MPI rank, HFetch daemon thread, placement engine and I/O
   client is one of these.
-* :class:`~repro.sim.resources.Resource` / :class:`~repro.sim.resources.Store`
-  — FCFS contention primitives used to model shared hardware (device
-  channels, event queues).
+* :class:`~repro.sim.resources.Resource` — a counted resource with a
+  demand and a prefetch class, FIFO within each (device channels, the
+  auditor lock); :class:`~repro.sim.resources.Store` — an unbounded FIFO
+  that producers ``offer`` into without blocking (event queues).
 * :class:`~repro.sim.pipes.BandwidthPipe` — latency + size/bandwidth
   transfer cost with channel contention; the building block of every
   storage tier and network link.
@@ -35,7 +36,7 @@ from repro.sim.core import (
     Timeout,
 )
 from repro.sim.pipes import BandwidthPipe, TransferStats
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 from repro.sim.rng import SeededStream, split_seed
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "Environment",
     "Event",
     "Interrupt",
-    "PriorityResource",
     "Process",
     "Resource",
     "SeededStream",

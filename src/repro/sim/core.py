@@ -13,7 +13,6 @@ policy (storage tiers, prefetchers, workloads) lives in higher layers.
 
 from __future__ import annotations
 
-import sys
 from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -48,22 +47,6 @@ class Interrupt(Exception):
 NORMAL = 1
 #: Priority used for urgent bookkeeping events (process resumption).
 URGENT = 0
-
-# Timeout recycling relies on CPython reference counts to prove that no
-# user code can still observe a fired Timeout before it is returned to the
-# environment's pool.  ``_SOLO_REFS`` is the count reported for an object
-# held by exactly one local variable; on interpreters without
-# ``sys.getrefcount`` (PyPy) pooling is simply disabled.
-_getrefcount = getattr(sys, "getrefcount", None)
-if _getrefcount is not None:
-    _probe = object()
-    _SOLO_REFS = _getrefcount(_probe)
-    del _probe
-else:  # pragma: no cover - non-CPython fallback
-    _SOLO_REFS = -1
-
-#: Upper bound on pooled Timeout objects per environment.
-_TIMEOUT_POOL_MAX = 1024
 
 
 class Event:
@@ -110,18 +93,18 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire successfully after ``delay``."""
+    def succeed(self, value: Any = None) -> "Event":
+        """Schedule this event to fire successfully now."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._triggered = True
         self._ok = True
         self._value = value
-        self.env._schedule(self, delay=delay)
+        self.env._schedule(self)
         return self
 
-    def fail(self, exception: BaseException, delay: float = 0.0) -> "Event":
-        """Schedule this event to fire as a failure carrying ``exception``."""
+    def fail(self, exception: BaseException) -> "Event":
+        """Schedule this event to fire now as a failure carrying ``exception``."""
         if self._triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         if not isinstance(exception, BaseException):
@@ -129,7 +112,7 @@ class Event:
         self._triggered = True
         self._ok = False
         self._value = exception
-        self.env._schedule(self, delay=delay)
+        self.env._schedule(self)
         return self
 
     # -- internal ------------------------------------------------------
@@ -152,9 +135,7 @@ class Timeout(Event):
     """An event that fires ``delay`` units of virtual time after creation.
 
     Timeouts are the single most common event class, so construction is
-    flattened (no ``super().__init__`` / ``_schedule`` calls) and fired
-    instances are recycled through the environment's pool when reference
-    counting proves nobody can still observe them.
+    flattened (no ``super().__init__`` / ``_schedule`` calls).
     """
 
     __slots__ = ("delay",)
@@ -243,8 +224,7 @@ class Process(Event):
 
     # -- driving -------------------------------------------------------
     def _resume(self, event: Event) -> None:
-        # Release the event that woke us: after this point it is history,
-        # and dropping the reference lets fired Timeouts be recycled.
+        # Release the event that woke us: after this point it is history.
         self._target = None
         gen = self._generator
         while True:
@@ -351,15 +331,12 @@ class Environment:
         assert env.now == 1.5 and proc.value == "done"
     """
 
-    __slots__ = ("_now", "_queue", "_eid", "_timeout_pool")
+    __slots__ = ("_now", "_queue", "_eid")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eid = 0
-        # Recycled Timeout objects (see Timeout): avoids one allocation
-        # plus full re-initialisation per timeout in steady state.
-        self._timeout_pool: list[Timeout] = []
 
     # -- clock ----------------------------------------------------------
     @property
@@ -374,20 +351,6 @@ class Environment:
 
     def timeout(self, delay: float, value: Any = None) -> Timeout:
         """Create an event firing after ``delay`` units of virtual time."""
-        pool = self._timeout_pool
-        if pool:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay: {delay!r}")
-            t = pool.pop()
-            # callbacks is already an empty list (run() restores it on
-            # recycle) and _ok/_defused still hold True/False: a timeout
-            # is born triggered-ok and only failed events get defused.
-            t._value = value
-            t._processed = False
-            t.delay = delay
-            self._eid = eid = self._eid + 1
-            heappush(self._queue, (self._now + delay, NORMAL, eid, t))
-            return t
         return Timeout(self, delay, value)
 
     def process(self, generator: Generator, name: str | None = None) -> Process:
@@ -403,34 +366,22 @@ class Environment:
         return AnyOf(self, events)
 
     # -- scheduling & running --------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, priority: int = NORMAL) -> None:
         self._eid += 1
-        heappush(self._queue, (self._now + delay, priority, self._eid, event))
+        heappush(self._queue, (self._now, priority, self._eid, event))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none remain."""
         return self._queue[0][0] if self._queue else float("inf")
 
     def step(self) -> None:
-        """Process exactly one event (advance the clock to it).
-
-        Fired timeouts are recycled as :meth:`run` recycles them: drain
-        loops step through many events one call at a time.
-        """
+        """Process exactly one event (advance the clock to it)."""
         queue = self._queue
         if not queue:
             raise SimulationError("step() on an empty schedule")
         when, _prio, _eid, event = heappop(queue)
         self._now = when
         event._run_callbacks()
-        if (
-            event.__class__ is Timeout
-            and _getrefcount is not None
-            and _getrefcount(event) == _SOLO_REFS
-            and len(self._timeout_pool) < _TIMEOUT_POOL_MAX
-        ):
-            event.callbacks = []
-            self._timeout_pool.append(event)
 
     def run(self, until: "float | Event | None" = None) -> Any:
         """Run the simulation.
@@ -455,12 +406,7 @@ class Environment:
         # The hot loop inlines step() onto local variables: attribute and
         # method-lookup overhead here is paid once per simulated event.
         queue = self._queue
-        pool = self._timeout_pool
         pop = heappop
-        refcount = _getrefcount
-        solo = _SOLO_REFS
-        pool_max = _TIMEOUT_POOL_MAX
-        timeout_cls = Timeout
         while queue:
             if queue[0][0] > stop_time:
                 self._now = stop_time
@@ -476,18 +422,6 @@ class Environment:
                 cb(event)
             if not event._ok and not event._defused:
                 raise event._value  # type: ignore[misc]
-            if (
-                event.__class__ is timeout_cls
-                and refcount is not None
-                and refcount(event) == solo
-                and len(pool) < pool_max
-            ):
-                # Nothing but this frame can see the fired timeout:
-                # recycle it, handing back its (cleared) callbacks list
-                # so timeout() need not allocate a fresh one.
-                callbacks.clear()  # type: ignore[union-attr]
-                event.callbacks = callbacks
-                pool.append(event)
             if stop_event is not None and stop_event._processed:
                 if not stop_event._ok:
                     raise stop_event._value  # type: ignore[misc]

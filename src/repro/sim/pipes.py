@@ -8,12 +8,13 @@ A transfer of ``nbytes`` costs::
 
     latency + nbytes / bandwidth          (once a channel is granted)
 
-and transfers beyond the channel count queue FCFS — which is how real
-devices behave under load: a 2-channel NVMe drive serving 64 readers
-makes each reader wait for a slot, so the *observed* per-reader bandwidth
-collapses, exactly the contention effect the HFetch paper's figures rely
-on (e.g. Fig. 4(b): the in-memory-naive prefetcher and the application
-threads "compete for access to PFS").
+and transfers beyond the channel count queue, demand before prefetch and
+FCFS within each class — which is how real devices behave under load: a
+2-channel NVMe drive serving 64 readers makes each reader wait for a
+slot, so the *observed* per-reader bandwidth collapses, exactly the
+contention effect the HFetch paper's figures rely on (e.g. Fig. 4(b):
+the in-memory-naive prefetcher and the application threads "compete for
+access to PFS").
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Generator
 
 from repro.sim.core import Environment, SimulationError
-from repro.sim.resources import PriorityResource
+from repro.sim.resources import Resource
 
 __all__ = ["TransferStats", "BandwidthPipe"]
 
@@ -35,13 +36,6 @@ class TransferStats:
     bytes_moved: int = 0
     busy_time: float = 0.0
     wait_time: float = 0.0
-
-    def merge(self, other: "TransferStats") -> None:
-        """Accumulate another stats object into this one."""
-        self.transfers += other.transfers
-        self.bytes_moved += other.bytes_moved
-        self.busy_time += other.busy_time
-        self.wait_time += other.wait_time
 
 
 class BandwidthPipe:
@@ -57,7 +51,7 @@ class BandwidthPipe:
         Per-channel sustained bandwidth in bytes/second.
     channels:
         Number of transfers that can be serviced concurrently; additional
-        requests queue FCFS.
+        requests queue, demand before prefetch and FCFS within each class.
     name:
         Diagnostic label (appears in metric dumps).
     """
@@ -78,7 +72,7 @@ class BandwidthPipe:
         self.latency = float(latency)
         self.bandwidth = float(bandwidth)
         self.name = name
-        self._channels = PriorityResource(env, capacity=max(1, int(channels)))
+        self._channels = Resource(env, capacity=max(1, int(channels)))
         self.stats = TransferStats()
 
     @property
@@ -103,7 +97,7 @@ class BandwidthPipe:
     #: priority class for prefetch/movement traffic: demand requests
     #: (priority 0) are always served first — a prefetcher must never
     #: delay the very reads it exists to accelerate
-    PREFETCH = PriorityResource.PREFETCH
+    PREFETCH = Resource.PREFETCH
 
     def transfer(self, nbytes: int, priority: int = 0) -> Generator:
         """A process generator moving ``nbytes`` through the pipe.

@@ -2,15 +2,16 @@
 
 These model shared hardware and software resources:
 
-* :class:`Resource` — a counted FCFS resource (device channels, CPU
-  threads).  Requests queue in arrival order.
-* :class:`PriorityResource` — like :class:`Resource` with two request
-  classes: demand is served before prefetch, FIFO within each.
-* :class:`Store` — an unbounded-or-bounded FIFO of items (the HFetch event
-  queue between the inotify producers and the hardware-monitor daemons).
+* :class:`Resource` — a counted resource (device channels, the monitor's
+  auditor lock) with two request classes: demand (priority 0) is served
+  before prefetch (``Resource.PREFETCH``), FIFO within each.
+* :class:`Store` — an unbounded FIFO of items (the HFetch event queue
+  between the inotify producers and the hardware-monitor daemons, and
+  the I/O clients' instruction queues).  Producers ``offer`` items
+  without blocking; consumers ``get`` them.
 
 All primitives are fair and deterministic: waiters are served in the order
-they asked.
+they asked, within their class.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro.sim.core import NORMAL, Environment, Event, SimulationError
 
 __all__ = [
     "Resource",
-    "PriorityResource",
     "Store",
 ]
 
@@ -32,15 +32,13 @@ class _Request(Event):
     """Event granted when the resource has a free slot.
 
     Construction is flattened like :class:`~repro.sim.core.Timeout`'s
-    (no ``super().__init__`` call); ``t0`` keeps the request time so a
-    queued request's wait is known when it is granted.
+    (no ``super().__init__`` call).
     """
 
-    __slots__ = ("resource", "t0")
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource"):
-        env = resource.env
-        self.env = env
+        self.env = resource.env
         self.callbacks = []
         self._value = None
         self._ok = True
@@ -48,7 +46,6 @@ class _Request(Event):
         self._processed = False
         self._defused = False
         self.resource = resource
-        self.t0 = env._now
 
     # Support ``with res.request() as req: yield req``
     def __enter__(self) -> "_Request":
@@ -59,7 +56,12 @@ class _Request(Event):
 
 
 class Resource:
-    """A counted FCFS resource with ``capacity`` concurrent slots."""
+    """A counted resource with ``capacity`` concurrent slots and two
+    request classes, FIFO within each: demand (priority 0) is always
+    served before prefetch (``PREFETCH``)."""
+
+    #: priority of prefetch/movement requests (``BandwidthPipe.PREFETCH``)
+    PREFETCH = 1
 
     def __init__(self, env: Environment, capacity: int = 1):
         if capacity < 1:
@@ -67,10 +69,9 @@ class Resource:
         self.env = env
         self.capacity = int(capacity)
         self.users: list[_Request] = []
-        self.queue: deque[_Request] = deque()
-        # instrumentation
-        self.total_requests = 0
-        self.total_wait_time = 0.0
+        #: queued requests of each class
+        self.demand: deque[_Request] = deque()
+        self.prefetch: deque[_Request] = deque()
 
     # -- public API ------------------------------------------------------
     @property
@@ -81,81 +82,15 @@ class Resource:
     @property
     def queued(self) -> int:
         """Number of requests waiting for a slot."""
-        return len(self.queue)
+        return len(self.demand) + len(self.prefetch)
 
-    def request(self) -> _Request:
-        """Ask for a slot; yields (fires) once granted."""
-        req = _Request(self)
-        self.total_requests += 1
-        users = self.users
-        if len(users) < self.capacity:
-            # uncontended: granted now with no wait to account, by
-            # ``req.succeed(req)`` inlined (now, normal priority, next eid)
-            users.append(req)
-            req._triggered = True
-            req._value = req
-            env = self.env
-            env._eid = eid = env._eid + 1
-            heappush(env._queue, (env._now, NORMAL, eid, req))
-        else:
-            self.queue.append(req)
-        return req
+    def request(self, priority: int = 0) -> _Request:
+        """Ask for a slot; yields (fires) once granted.
 
-    def release(self, request: _Request) -> None:
-        """Return a slot (or cancel a queued request)."""
-        try:
-            self.users.remove(request)
-        except ValueError:
-            # Releasing a request that was never granted cancels it.
-            self._cancel(request)
-            return
-        # a grant's value is the request itself: drop that self-reference
-        # so a released request is freed at once, not left to the cyclic GC
-        request._value = None
-        self._dispatch()
-
-    # -- internals -------------------------------------------------------
-    def _cancel(self, request: _Request) -> None:
-        """Drop a queued request (a no-op for one this resource lacks)."""
-        try:
-            self.queue.remove(request)
-        except ValueError:
-            pass
-
-    def _grant(self, req: _Request) -> None:
-        """Grant a queued request, accounting how long it waited."""
-        self.users.append(req)
-        self.total_wait_time += self.env._now - req.t0
-        req.succeed(req)
-
-    def _dispatch(self) -> None:
-        while self.queue and len(self.users) < self.capacity:
-            self._grant(self.queue.popleft())
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"<Resource {self.count}/{self.capacity} used, {self.queued} queued>"
-
-
-class PriorityResource(Resource):
-    """A :class:`Resource` with two request classes, FIFO within each:
-    demand (priority 0) is always served before prefetch
-    (``PREFETCH``)."""
-
-    #: priority of prefetch/movement requests (``BandwidthPipe.PREFETCH``)
-    PREFETCH = 1
-
-    def __init__(self, env: Environment, capacity: int = 1):
-        super().__init__(env, capacity)
-        #: queued prefetch requests (``queue`` holds the demand ones)
-        self.prefetch: deque[_Request] = deque()
-
-    @property
-    def queued(self) -> int:
-        return len(self.queue) + len(self.prefetch)
-
-    def request(self, priority: int = 0) -> _Request:  # type: ignore[override]
+        ``priority`` is 0 (demand) or :attr:`PREFETCH`.
+        """
         if priority == 0:
-            queue = self.queue
+            queue = self.demand
         elif priority == self.PREFETCH:
             queue = self.prefetch
         else:
@@ -164,9 +99,10 @@ class PriorityResource(Resource):
                 f"got {priority!r}"
             )
         req = _Request(self)
-        self.total_requests += 1
         users = self.users
         if len(users) < self.capacity:
+            # uncontended: granted now, by ``req.succeed(req)`` inlined
+            # (now, normal priority, next eid)
             users.append(req)
             req._triggered = True
             req._value = req
@@ -177,29 +113,38 @@ class PriorityResource(Resource):
             queue.append(req)
         return req
 
-    def _cancel(self, request: _Request) -> None:
+    def release(self, request: _Request) -> None:
+        """Return a slot (or cancel a queued request)."""
         try:
-            self.prefetch.remove(request)
+            self.users.remove(request)
         except ValueError:
-            Resource._cancel(self, request)
+            # Releasing a request that was never granted cancels it (a
+            # no-op for one this resource lacks).
+            for queue in (self.demand, self.prefetch):
+                if request in queue:
+                    queue.remove(request)
+                    break
+            return
+        # a grant's value is the request itself: drop that self-reference
+        # so a released request is freed at once, not left to the cyclic GC
+        request._value = None
+        self._dispatch()
 
+    # -- internals -------------------------------------------------------
     def _dispatch(self) -> None:
-        demand, prefetch = self.queue, self.prefetch
-        while len(self.users) < self.capacity:
+        users, demand, prefetch = self.users, self.demand, self.prefetch
+        while len(users) < self.capacity:
             if demand:
-                self._grant(demand.popleft())
+                req = demand.popleft()
             elif prefetch:
-                self._grant(prefetch.popleft())
+                req = prefetch.popleft()
             else:
                 break
+            users.append(req)
+            req.succeed(req)
 
-
-class _StorePut(Event):
-    __slots__ = ("item",)
-
-    def __init__(self, env: Environment, item: Any):
-        super().__init__(env)
-        self.item = item
+    def __repr__(self) -> str:  # pragma: no cover
+        return f"<Resource {self.count}/{self.capacity} used, {self.queued} queued>"
 
 
 class _StoreGet(Event):
@@ -207,25 +152,19 @@ class _StoreGet(Event):
 
 
 class Store:
-    """A FIFO of items with optional bounded capacity.
+    """An unbounded FIFO of items.
 
-    ``put`` blocks when the store is full; ``get`` blocks when empty.
-    This is the HFetch server's in-memory event queue (paper §III-A.1):
-    inotify producers ``offer`` file events, hardware-monitor daemons
-    ``get`` them.
+    Producers :meth:`offer` items without blocking; :meth:`get` blocks
+    while the store is empty.  This is the HFetch server's in-memory
+    event queue (paper §III-A.1): inotify producers ``offer`` file
+    events, hardware-monitor daemons ``get`` them.
     """
 
-    def __init__(self, env: Environment, capacity: float = float("inf")):
-        if capacity <= 0:
-            raise SimulationError("store capacity must be positive")
+    def __init__(self, env: Environment):
         self.env = env
-        self.capacity = capacity
         self.items: deque[Any] = deque()
-        self._putters: deque[_StorePut] = deque()
         self._getters: deque[_StoreGet] = deque()
-        # instrumentation
-        self.total_put = 0
-        self.total_got = 0
+        #: high-water mark of the buffer
         self.max_level = 0
 
     @property
@@ -233,28 +172,10 @@ class Store:
         """Number of items currently buffered."""
         return len(self.items)
 
-    def put(self, item: Any) -> _StorePut:
-        """Offer ``item``; the returned event fires once accepted."""
-        ev = _StorePut(self.env, item)
-        self._putters.append(ev)
-        self._balance()
-        return ev
-
     def offer(self, item: Any) -> None:
-        """Buffer ``item`` now, without blocking and without a put event.
-
-        The non-blocking form of :meth:`put` for producers that never
-        wait on the put: the item goes straight to the oldest waiting
-        getter, exactly as a put would hand it over, but no put event
-        is scheduled.  Raises :class:`SimulationError` when the store
-        is full or has blocked putters (the item could not be accepted
-        now).
-        """
+        """Buffer ``item`` now, or hand it to the oldest waiting getter."""
         items = self.items
-        if self._putters or len(items) >= self.capacity:
-            raise SimulationError(f"offer to a full store ({len(items)}/{self.capacity})")
         items.append(item)
-        self.total_put += 1
         if len(items) > self.max_level:
             self.max_level = len(items)
         getters = self._getters
@@ -264,7 +185,6 @@ class Store:
             get = getters.popleft()
             get._triggered = True
             get._value = items.popleft()
-            self.total_got += 1
             env = self.env
             env._eid = eid = env._eid + 1
             heappush(env._queue, (env._now, NORMAL, eid, get))
@@ -274,57 +194,30 @@ class Store:
         env = self.env
         ev = _StoreGet(env)
         items = self.items
-        if items and not self._getters:
-            # buffered and nobody queued ahead: take it directly, by
+        if items:
+            # buffered, so no getter waits ahead: take it directly, by
             # ``ev.succeed(item)`` inlined
             ev._triggered = True
             ev._value = items.popleft()
-            self.total_got += 1
             env._eid = eid = env._eid + 1
             heappush(env._queue, (env._now, NORMAL, eid, ev))
-            if self._putters:
-                self._balance()
         else:
             self._getters.append(ev)
-            self._balance()
         return ev
 
     def cancel(self, event: Event) -> bool:
-        """Withdraw a pending ``get``/``put`` that has not fired yet.
+        """Withdraw a pending ``get`` that has not fired yet.
 
         A consumer that is interrupted while waiting on :meth:`get` must
         cancel the returned event — otherwise the orphaned getter stays
-        queued and a later ``put`` feeds it, silently losing the item.
+        queued and a later ``offer`` feeds it, silently losing the item.
         Returns True when the event was still queued.
         """
-        for queue in (self._getters, self._putters):
-            try:
-                queue.remove(event)  # type: ignore[arg-type]
-                return True
-            except ValueError:
-                continue
-        return False
-
-    def _balance(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Accept queued puts while there is room.
-            while self._putters and len(self.items) < self.capacity:
-                put = self._putters.popleft()
-                self.items.append(put.item)
-                self.total_put += 1
-                if len(self.items) > self.max_level:
-                    self.max_level = len(self.items)
-                put.succeed()
-                progress = True
-            # Satisfy queued gets while there are items.
-            while self._getters and self.items:
-                get = self._getters.popleft()
-                item = self.items.popleft()
-                self.total_got += 1
-                get.succeed(item)
-                progress = True
+        try:
+            self._getters.remove(event)  # type: ignore[arg-type]
+        except ValueError:
+            return False
+        return True
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"<Store level={self.level}/{self.capacity}>"
+        return f"<Store level={self.level}>"

@@ -3,6 +3,8 @@ and score consistency across a failover."""
 
 import pytest
 
+from repro.core.auditor import FileSegmentAuditor
+from repro.core.config import HFetchConfig
 from repro.dhm.hashmap import (
     DHM_MAX_RETRIES,
     DHM_RETRY_BACKOFF,
@@ -10,9 +12,11 @@ from repro.dhm.hashmap import (
     OpCost,
 )
 from repro.dhm.wal import WriteAheadLog
+from repro.events.types import EventType, FileEvent
 from repro.faults import FaultPlan
+from repro.storage.files import FileSystemModel
 
-from .conftest import assert_no_lost_segments, hfetch_config, run_hfetch
+from .conftest import MB, assert_no_lost_segments, hfetch_config, run_hfetch
 
 
 def keys_on_shard(dhm, sid, n=5, prefix="k"):
@@ -113,6 +117,31 @@ class TestShardOutageUnit:
         assert dhm.degraded_ops == 2  # one per key on the down shard
         dhm.recover_shard(0)
         assert dhm.get_many(down + up) == [1, 1, 1, 1]
+
+    def test_delete_without_wal_during_outage_stays_deleted(self):
+        dhm = DistributedHashMap(shards=4)  # no WAL
+        key = keys_on_shard(dhm, 0, n=1)[0]
+        dhm.put(key, "old")
+        dhm.fail_shard(0)
+        # the overlay cannot see the shard's record, but the delete must
+        # still outlive the outage
+        assert dhm.delete(key) is False
+        dhm.recover_shard(0)
+        assert dhm.get(key) is None and key not in dhm
+
+    def test_auditor_write_during_no_wal_outage_drops_stale_stats(self):
+        fs = FileSystemModel(default_segment_size=MB)
+        fs.create("/f", 8 * MB)
+        stats_map = DistributedHashMap(shards=4)  # no WAL
+        auditor = FileSegmentAuditor(HFetchConfig(), fs, stats_map=stats_map)
+        auditor.on_event(FileEvent(EventType.READ, "/f", 0, 8 * MB, timestamp=1.0))
+        sid = fs.segment_id("/f", 0)
+        assert auditor.stats_of(sid) is not None
+        shard = stats_map.shard_of(sid)
+        stats_map.fail_shard(shard)
+        auditor.on_event(FileEvent(EventType.WRITE, "/f", 0, MB, timestamp=2.0))
+        stats_map.recover_shard(shard)
+        assert auditor.stats_of(sid) is None
 
     def test_recover_idempotent(self):
         dhm = DistributedHashMap(shards=2)

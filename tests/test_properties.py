@@ -14,6 +14,7 @@ from repro.dhm.partition import KeyPartitioner
 from repro.dhm.wal import WriteAheadLog
 from repro.prefetchers.util import ManagedCache
 from repro.sim.core import Environment
+from repro.sim.resources import Resource
 from repro.storage.devices import DRAM, NVME, PFS_DISK
 from repro.storage.files import SimFile
 from repro.storage.hierarchy import StorageHierarchy, TierFullError
@@ -261,3 +262,75 @@ def test_des_completion_order_matches_sorted_delays(delays):
     expected = [i for i, _d in sorted(enumerate(delays), key=lambda kv: (kv[1], kv[0]))]
     assert finished == expected
     assert env.now == pytest.approx(max(delays))
+
+
+# ------------------------------------------------- Resource's two classes
+# (arrival tick, class, hold ticks once granted, ticks of patience while
+# queued before cancelling, or None to wait for the grant)
+resource_requests = st.lists(
+    st.tuples(
+        st.integers(0, 12),
+        st.sampled_from([0, Resource.PREFETCH]),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 4)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+@given(requests=resource_requests, capacity=st.integers(1, 3))
+@settings(max_examples=80)
+def test_resource_dispatch_invariants(requests, capacity):
+    env = Environment()
+    res = Resource(env, capacity=capacity)
+    tick = 0.25
+    asked: list[int] = []  # request order
+    granted: list[int] = []  # grant order
+    cancelled: set[int] = set()
+    pending: dict[int, object] = {}  # asked, not yet granted or cancelled
+
+    def check() -> None:
+        # run after every request/release: each grants at most one slot
+        new = [i for i, req in pending.items() if req.triggered]
+        assert len(new) <= 1
+        for i in new:
+            del pending[i]
+            granted.append(i)
+            if requests[i][1] == Resource.PREFETCH:
+                assert not res.demand, "prefetch granted while demand queued"
+        assert res.count <= capacity
+        if res.queued:
+            assert res.count == capacity  # no idle slot while work waits
+
+    def client(i, arrival, prio, hold, patience):
+        yield env.timeout(arrival * tick)
+        req = res.request(priority=prio)
+        asked.append(i)
+        pending[i] = req
+        check()
+        if patience is not None:
+            yield env.any_of([req, env.timeout(patience * tick)])
+            if not req.triggered:
+                res.release(req)  # cancel while queued
+                del pending[i]
+                cancelled.add(i)
+                check()
+                return
+        yield req
+        yield env.timeout(hold * tick)
+        res.release(req)
+        check()
+
+    for i, (arrival, prio, hold, patience) in enumerate(requests):
+        env.process(client(i, arrival, prio, hold, patience))
+    env.run()
+
+    assert not pending and res.count == 0 and res.queued == 0
+    assert cancelled.isdisjoint(granted)
+    assert sorted(granted + sorted(cancelled)) == list(range(len(requests)))
+    for prio in (0, Resource.PREFETCH):
+        in_class = [i for i in asked if requests[i][1] == prio]
+        assert [i for i in granted if requests[i][1] == prio] == [
+            i for i in in_class if i not in cancelled
+        ]

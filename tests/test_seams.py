@@ -10,7 +10,7 @@ from repro.events.queue import EventQueue
 from repro.events.types import EventType, FileEvent
 from repro.prefetchers.util import ManagedCache
 from repro.sim.core import Environment
-from repro.sim.resources import PriorityResource, Store
+from repro.sim.resources import Resource, Store
 from repro.storage.devices import DRAM, NVME, PFS_DISK
 from repro.storage.files import FileSystemModel
 from repro.storage.hierarchy import StorageHierarchy
@@ -100,8 +100,8 @@ def test_stat_on_open_without_intervening_write_keeps_cache():
 # -------------------------------------------------------------- primitives
 def test_priority_resource_release_unknown_request_is_noop():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
-    other = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
+    other = Resource(env, capacity=1)
     req = other.request()
     res.release(req)  # foreign request: silently ignored
     assert res.count == 0
@@ -118,8 +118,9 @@ def test_store_get_before_put_ordering_fifo():
 
     for i in range(3):
         env.process(getter(i))
+    env.run()  # all three getters now wait
     for v in "abc":
-        st.put(v)
+        st.offer(v)
     env.run()
     assert results == [(0, "a"), (1, "b"), (2, "c")]
 

@@ -356,7 +356,7 @@ def test_determinism_same_script_same_trace():
     assert script() == script()
 
 
-# ------------------------------------------------------- timeout pooling
+# -------------------------------------------------------------- timeouts
 def test_held_timeout_reference_is_never_recycled():
     """A fired Timeout someone still references keeps its value intact."""
     env = Environment()
@@ -372,29 +372,13 @@ def test_held_timeout_reference_is_never_recycled():
 
     env.process(body(env))
     env.run()
-    # the held timeout survived 50 further (potentially recycled) timeouts
+    # the held timeout survived 50 further timeouts
     assert held[0].value == "precious"
     assert held[0].processed
 
 
-def test_timeout_pool_engages_after_run():
-    import sys
-
-    if getattr(sys, "getrefcount", None) is None:
-        pytest.skip("pooling disabled without sys.getrefcount")
-    env = Environment()
-
-    def body(env):
-        for _ in range(20):
-            yield env.timeout(0.5)
-
-    env.process(body(env))
-    env.run()
-    assert env._timeout_pool  # fired sole-owned timeouts were recycled
-
-
 def test_pooled_kernel_determinism_replay():
-    """Two identical scripts heavy enough to cycle the pool trace identically."""
+    """Two identical timeout-heavy scripts trace identically."""
 
     def script():
         env = Environment()

@@ -73,15 +73,6 @@ def test_stats_accumulate():
     assert pipe.stats.wait_time == pytest.approx(0.5)  # second waited 0.5s
 
 
-def test_stats_merge():
-    a = make().stats
-    b = make().stats
-    a.transfers, a.bytes_moved = 2, 100
-    b.transfers, b.bytes_moved = 3, 200
-    a.merge(b)
-    assert a.transfers == 5 and a.bytes_moved == 300
-
-
 def test_in_flight_and_queued_counters():
     env = Environment()
     pipe = BandwidthPipe(env, latency=0.0, bandwidth=1, channels=1)

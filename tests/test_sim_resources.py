@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment, SimulationError
-from repro.sim.resources import PriorityResource, Resource, Store
+from repro.sim.resources import Resource, Store
 
 
 # ---------------------------------------------------------------- Resource
@@ -76,26 +76,10 @@ def test_resource_fairness_under_load():
     assert order == list(range(6))
 
 
-def test_resource_wait_time_accounting():
-    env = Environment()
-    res = Resource(env, capacity=1)
-
-    def worker(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(2)
-
-    env.process(worker(env))
-    env.process(worker(env))
-    env.run()
-    assert res.total_requests == 2
-    assert res.total_wait_time == pytest.approx(2.0)
-
-
-# ---------------------------------------------------------- PriorityResource
+# ------------------------------------------------ Resource priority classes
 def test_priority_resource_serves_demand_before_prefetch():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     order = []
 
     def worker(env, name, prio, delay):
@@ -107,9 +91,9 @@ def test_priority_resource_serves_demand_before_prefetch():
         res.release(req)
 
     env.process(worker(env, "holder", 0, 0))
-    env.process(worker(env, "prefetch-1", PriorityResource.PREFETCH, 0.1))
+    env.process(worker(env, "prefetch-1", Resource.PREFETCH, 0.1))
     env.process(worker(env, "demand-1", 0, 0.2))
-    env.process(worker(env, "prefetch-2", PriorityResource.PREFETCH, 0.3))
+    env.process(worker(env, "prefetch-2", Resource.PREFETCH, 0.3))
     env.process(worker(env, "demand-2", 0, 0.4))
     env.run()
     assert order == ["holder", "demand-1", "demand-2", "prefetch-1", "prefetch-2"]
@@ -118,15 +102,15 @@ def test_priority_resource_serves_demand_before_prefetch():
 @pytest.mark.parametrize("priority", [-1, 2, 5, 0.5])
 def test_priority_resource_rejects_other_priorities(priority):
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     with pytest.raises(ValueError):
         res.request(priority=priority)
-    assert res.total_requests == 0 and res.count == 0
+    assert res.count == 0 and res.queued == 0
 
 
 def test_priority_resource_fifo_within_priority():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     order = []
 
     def worker(env, name, delay):
@@ -146,7 +130,7 @@ def test_priority_resource_fifo_within_priority():
 
 def test_priority_resource_cancel_queued():
     env = Environment()
-    res = PriorityResource(env, capacity=1)
+    res = Resource(env, capacity=1)
     holder = res.request(priority=0)
     queued = res.request(priority=1)
     res.release(queued)
@@ -167,8 +151,9 @@ def test_store_put_get_fifo():
             out.append(item)
 
     env.process(consumer(env))
+    env.run()  # the consumer now waits
     for i in range(3):
-        st.put(i)
+        st.offer(i)
     env.run()
     assert out == [0, 1, 2]
 
@@ -184,7 +169,7 @@ def test_store_get_blocks_until_item():
 
     def producer(env):
         yield env.timeout(5)
-        st.put("late")
+        st.offer("late")
 
     env.process(consumer(env))
     env.process(producer(env))
@@ -192,39 +177,11 @@ def test_store_get_blocks_until_item():
     assert got == [(5.0, "late")]
 
 
-def test_store_bounded_put_blocks_when_full():
-    env = Environment()
-    st = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield st.put("a")
-        log.append(("put-a", env.now))
-        yield st.put("b")
-        log.append(("put-b", env.now))
-
-    def consumer(env):
-        yield env.timeout(3)
-        item = yield st.get()
-        log.append(("got", item, env.now))
-
-    env.process(producer(env))
-    env.process(consumer(env))
-    env.run()
-    assert ("put-a", 0.0) in log
-    assert ("put-b", 3.0) in log  # unblocked by the get
-
-
-def test_store_capacity_must_be_positive():
-    with pytest.raises(SimulationError):
-        Store(Environment(), capacity=0)
-
-
 def test_store_level_and_max_level():
     env = Environment()
     st = Store(env)
     for i in range(4):
-        st.put(i)
+        st.offer(i)
     assert st.level == 4
     assert st.max_level == 4
 
@@ -248,43 +205,14 @@ def test_store_multiple_consumers_each_get_distinct_items():
 
     for _ in range(3):
         env.process(consumer(env))
+    env.run()  # all three consumers now wait
     for i in range(3):
-        st.put(i)
+        st.offer(i)
     env.run()
     assert sorted(got) == [0, 1, 2]
 
 
 # ------------------------------------------------------ Store fast paths
-def _handoff_log(hand_off):
-    """(time, getter, item) of four getters fed by ``hand_off(store, item)``
-    at mixed times, some items arriving before any getter waits."""
-    env = Environment()
-    st = Store(env)
-    log = []
-
-    def getter(env, name, delay):
-        yield env.timeout(delay)
-        for _ in range(2):
-            item = yield st.get()
-            log.append((env.now, name, item))
-            yield env.timeout(0.5)
-
-    def producer(env):
-        for i in range(8):
-            hand_off(st, i)
-            yield env.timeout(0.25 if i % 3 else 0.0)
-
-    for name, delay in (("a", 0.0), ("b", 0.0), ("c", 0.1), ("d", 1.0)):
-        env.process(getter(env, name, delay))
-    env.process(producer(env))
-    env.run()
-    return log, st.total_put, st.total_got, st.max_level
-
-
-def test_store_offer_hands_over_like_put():
-    assert _handoff_log(Store.offer) == _handoff_log(Store.put)
-
-
 def test_store_offer_wakes_the_oldest_waiting_getter_now():
     env = Environment()
     st = Store(env)
@@ -309,28 +237,6 @@ def test_store_offer_wakes_the_oldest_waiting_getter_now():
     assert st.level == 0 and st.max_level == 1
 
 
-def test_store_offer_raises_on_a_full_store():
-    env = Environment()
-    st = Store(env, capacity=2)
-    st.offer("a")
-    st.offer("b")
-    with pytest.raises(SimulationError):
-        st.offer("c")
-    assert list(st.items) == ["a", "b"] and st.total_put == 2
-
-
-def test_store_offer_raises_behind_a_blocked_putter():
-    env = Environment()
-    st = Store(env, capacity=1)
-    st.offer("a")
-    blocked = st.put("b")
-    assert not blocked.triggered
-    st.get()  # frees the slot for the blocked putter, not for an offer
-    assert blocked.triggered and list(st.items) == ["b"]
-    with pytest.raises(SimulationError):
-        st.offer("c")
-
-
 def test_store_get_on_a_buffered_store_is_fifo():
     env = Environment()
     st = Store(env)
@@ -340,27 +246,26 @@ def test_store_get_on_a_buffered_store_is_fifo():
     assert all(g.triggered for g in gets) and st.level == 0
     env.run()
     assert [g.value for g in gets] == [0, 1, 2, 3, 4]
-    assert st.total_got == 5
-
-
-def test_store_get_from_a_full_store_admits_the_blocked_putter():
-    env = Environment()
-    st = Store(env, capacity=1)
-    st.offer("a")
-    put = st.put("b")
-    get = st.get()
-    env.run()
-    assert get.value == "a" and put.processed and list(st.items) == ["b"]
 
 
 # ------------------------------------------------- Resource wait accounting
-@pytest.mark.parametrize("cls", [Resource, PriorityResource])
-def test_resource_wait_accounting_over_mixed_requests(cls):
-    """Uncontended grants add no wait; queued grants add their exact
-    wait; a cancelled queued request adds none."""
+# "Resource" asks with the plain ``request()`` (demand class);
+# "PriorityResource" asks every request in the prefetch class.
+@pytest.mark.parametrize(
+    "request_kwargs",
+    [
+        pytest.param({}, id="Resource"),
+        pytest.param({"priority": Resource.PREFETCH}, id="PriorityResource"),
+    ],
+)
+def test_resource_wait_accounting_over_mixed_requests(request_kwargs):
+    """Uncontended requests are granted at once; queued ones when a slot
+    frees, in arrival order; a cancelled queued request never is.  The
+    same holds within either request class."""
     env = Environment()
-    res = cls(env, capacity=2)
+    res = Resource(env, capacity=2)
     held = {}
+    granted = {}
 
     def at(t, fn):
         def body(env):
@@ -370,7 +275,8 @@ def test_resource_wait_accounting_over_mixed_requests(cls):
         env.process(body(env))
 
     def ask(name):
-        held[name] = res.request()
+        held[name] = req = res.request(**request_kwargs)
+        req.callbacks.append(lambda _ev: granted.setdefault(name, env.now))
 
     def give_back(name):
         res.release(held[name])
@@ -386,8 +292,7 @@ def test_resource_wait_accounting_over_mixed_requests(cls):
     at(5.0, lambda: give_back("c"))
     at(5.5, lambda: ask("f"))  # uncontended
     env.run()
-    assert res.total_requests == 6
-    assert res.total_wait_time == 2.0 + 2.5
+    assert granted == {"a": 0.0, "b": 0.5, "c": 3.0, "e": 4.25, "f": 5.5}
     assert not held["d"].triggered
     assert [held[n].processed for n in "abcef"] == [True] * 5
     assert res.count == 2 and res.queued == 0
